@@ -6,7 +6,7 @@ repricing, dependency-set updates, frontier pruning) show up here.
 """
 
 
-from repro import GrCUDARuntime
+from repro import Session
 from repro.gpusim import Device, SimEngine
 from repro.gpusim.ops import KernelOp, KernelResourceRequest
 from repro.gpusim.specs import gpu_by_name
@@ -18,7 +18,7 @@ COST = LinearCostModel(
 
 
 def many_kernel_run(num_kernels: int = 200) -> float:
-    rt = GrCUDARuntime(gpu="GTX 1660 Super")
+    rt = Session(gpu="GTX 1660 Super")
     n = 1 << 16
     k = rt.build_kernel(lambda x, m: None, "k", "ptr, sint32", COST)
     arrays = [rt.array(n, materialize=False) for _ in range(8)]
@@ -29,7 +29,7 @@ def many_kernel_run(num_kernels: int = 200) -> float:
 
 
 def wide_fanout_run(width: int = 64) -> float:
-    rt = GrCUDARuntime(gpu="Tesla P100")
+    rt = Session(gpu="Tesla P100")
     n = 1 << 16
     k = rt.build_kernel(lambda x, m: None, "k", "const ptr, sint32", COST)
     w = rt.build_kernel(lambda x, m: None, "w", "ptr, sint32", COST)
@@ -99,7 +99,7 @@ def test_dependency_inference_cost(benchmark):
     """Scheduling overhead of dependency-set updates on a long chain."""
 
     def chained(num_kernels: int = 300) -> int:
-        rt = GrCUDARuntime(gpu="GTX 1660 Super")
+        rt = Session(gpu="GTX 1660 Super")
         n = 1 << 12
         k = rt.build_kernel(
             lambda x, y, m: None, "k", "const ptr, ptr, sint32", COST

@@ -20,13 +20,10 @@ Quickstart::
 :class:`Session` is the single entry point: ``gpus=1`` runs the paper's
 single-GPU scheduler, ``gpus>1`` the section-VI multi-GPU extension, and
 :mod:`repro.serve` multiplexes many tenants over a pool of sessions —
-all configured through one :class:`SchedulerConfig`.  The legacy
-``GrCUDARuntime`` / ``MultiGpuScheduler`` classes remain as deprecation
-shims.
+all configured through one :class:`SchedulerConfig`.
 """
 
 from repro.session import Session, SessionMetrics
-from repro.core.runtime import GrCUDARuntime
 from repro.core.policies import (
     AdmissionPolicy,
     DevicePlacementPolicy,
@@ -62,7 +59,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Session",
     "SessionMetrics",
-    "GrCUDARuntime",
     "AdmissionPolicy",
     "ConfigError",
     "DevicePlacementPolicy",

@@ -19,6 +19,7 @@ host-blocking sync after every computation, no dependency computation.
 from __future__ import annotations
 
 import abc
+from typing import Callable, Sequence
 
 from repro.core.dag import ComputationDAG
 from repro.core.history import KernelExecutionRecord, KernelHistory
@@ -36,26 +37,62 @@ from repro.gpusim.ops import (
     KernelResourceRequest,
     TransferKind,
 )
-from repro.gpusim.stream import SimStream
+from repro.gpusim.stream import SimEvent, SimStream
 from repro.kernels.kernel import KernelLaunch
 from repro.kernels.profile import combine_resources
-from repro.memory.array import AccessKind, DeviceArray
-from repro.memory.coherence import CoherenceEngine
+from repro.memory.array import AccessKind, ManagedArray
+from repro.memory.coherence import CoherenceEngine, stamp_access_tokens
 
 
-def annotate_kernel_access_sets(op: KernelOp, launch: KernelLaunch) -> None:
-    """Stamp the launch's access sets on ``op`` for the race detector
-    and timeline introspection (shared by every kernel submission path:
-    execution contexts, CUDA-graph replay, serving replay)."""
-    op.info["reads"] = frozenset(
-        id(a) for a, k in launch.array_args if k.reads
+def submit_compute(
+    coherence: CoherenceEngine,
+    stream: SimStream,
+    label: str,
+    accesses: Sequence[tuple[ManagedArray, AccessKind]],
+    resources: KernelResourceRequest,
+    compute_fn: Callable[[], None] | None,
+    *,
+    kind: TransferKind | None = None,
+    device: int | None = None,
+    on_complete: Callable | None = None,
+    finish_label: str | None = None,
+) -> tuple[KernelOp, SimEvent | None]:
+    """The one launch path every executor submits compute through:
+    acquire → kernel op → race tokens → release → submit.
+
+    ``coherence`` plans the movement ``accesses`` need on ``device``
+    (default: ``stream``'s; ``kind`` overrides the transfer kind), the
+    fault charge lands on the op, the op carries per-copy race-detector
+    tokens, the executor's tags and ``on_complete``, and the accesses'
+    transitions commit when it completes.  With ``finish_label`` — or
+    when the op creates replicas a peer copy may source from — a finish
+    event is recorded after it and returned.
+    """
+    if device is None:
+        device = stream.device_index
+    plan = coherence.acquire(
+        list(accesses), stream, label=label, kind=kind, device=device
     )
-    op.info["writes"] = frozenset(
-        id(a) for a, k in launch.array_args if k.writes
+    if plan.fault_bytes > 0:
+        resources = combine_resources(resources, plan.fault_bytes)
+    op = KernelOp(label=label, resources=resources, compute_fn=compute_fn)
+    stamp_access_tokens(
+        op,
+        ([a for a, k in accesses if k.reads], device),
+        ([a for a, k in accesses if k.writes], device),
     )
-    op.info["array_names"] = {
-        id(a): a.name for a, _ in launch.array_args
-    }
+    op.info["device"] = device
+    op.info.update(coherence.op_tags)
+    if on_complete is not None:
+        op.on_complete.append(on_complete)
+    coherence.release(plan, op)
+    engine = coherence.engine
+    engine.submit(stream, op)
+    event = None
+    if finish_label is not None or plan.fault_replicas:
+        event = engine.record_event(stream, label=finish_label or label)
+        coherence.register_fault_ordering(plan, event)
+    return op, event
 
 
 def wait_cross_stream_parents(
@@ -64,8 +101,7 @@ def wait_cross_stream_parents(
     parents: list[ComputationalElement],
 ) -> None:
     """Cross-stream dependencies -> event waits; same-stream ones are
-    already ordered by CUDA's FIFO guarantee.  Shared by every
-    DAG-scheduling path (parallel context, multi-GPU context)."""
+    already ordered by CUDA's FIFO guarantee."""
     for parent in parents:
         if (
             parent.finish_event is not None
@@ -115,7 +151,15 @@ def kernel_history_recorder(launch: KernelLaunch, sink):
 
 
 class ExecutionContext(abc.ABC):
-    """Common machinery for both scheduling policies."""
+    """Common machinery of every scheduling policy.
+
+    The base class implements the paper's asynchronous DAG scheduling
+    (section IV-B) for any device count: a computation becomes a DAG
+    element, :meth:`_place` picks its stream and device,
+    cross-stream parents become event waits, and the op goes through
+    :func:`submit_compute`.  The serial context overrides the parts the
+    original scheduler does differently.
+    """
 
     #: whether this context runs the original serial scheduler (movement
     #: resolution differs: the serial scheduler predates the prefetcher)
@@ -148,21 +192,15 @@ class ExecutionContext(abc.ABC):
         self.cpu_access_fast_path_count = 0
         self.cpu_access_element_count = 0
 
-    # -- public API used by the runtime facade -------------------------------
+    # -- public API used by the session ---------------------------------------
 
-    def attach(self, array: DeviceArray) -> None:
+    def attach(self, array: ManagedArray) -> None:
         """Route the array's CPU accesses through this context."""
         array.set_access_hook(self._on_cpu_access)
 
     @abc.abstractmethod
     def launch(self, launch: KernelLaunch) -> None:
         """Schedule one kernel launch (GrCUDA launch handler)."""
-
-    @abc.abstractmethod
-    def _on_cpu_access(
-        self, array: DeviceArray, kind: AccessKind, touched: int
-    ) -> None:
-        """Hook called before every CPU access to a managed array."""
 
     def sync(self) -> None:
         """Host-side device synchronization."""
@@ -171,145 +209,111 @@ class ExecutionContext(abc.ABC):
 
     def reclaimable_streams(self) -> tuple[SimStream, ...]:
         """Streams a retiring context hands back to the engine (see
-        :meth:`repro.session.Session.renew_context`).  The serial
-        context runs on the engine's default stream and owns only what
-        its coherence engine created (window-coalescing streams)."""
+        :meth:`repro.session.Session.renew_context`): the ones its
+        coherence engine created (window-coalescing streams); DAG
+        contexts add their scheduling streams."""
         return self.coherence.take_owned_streams()
 
-    # -- shared helpers ------------------------------------------------------
+    def device_kernel_counts(self) -> list[int]:
+        """Kernels executed per GPU (load-balance introspection)."""
+        counts = [0] * len(self.engine.devices)
+        for rec in self.engine.timeline.kernels():
+            counts[rec.meta.get("device", 0)] += 1
+        return counts
 
-    def _kernel_op(
-        self, launch: KernelLaunch, fault_bytes: float = 0.0
-    ) -> KernelOp:
-        resources: KernelResourceRequest = launch.resources()
-        if fault_bytes > 0:
-            resources = combine_resources(resources, fault_bytes)
-        op = KernelOp(
-            label=launch.label,
-            resources=resources,
-            compute_fn=launch.execute,
-        )
-        annotate_kernel_access_sets(op, launch)
-        op.info.update(self.op_tags)
-        op.on_complete.append(
-            kernel_history_recorder(launch, self.history.record)
-        )
-        return op
+    # -- DAG scheduling ---------------------------------------------------------
 
-    def _submit_launch(
+    def _place(
         self,
-        stream: SimStream,
-        launch: KernelLaunch,
-        kind: "TransferKind | None" = None,
-    ) -> KernelOp:
-        """Declare the launch's accesses to the coherence engine, then
-        submit the kernel with the resulting fault charge and
-        completion-applied state transitions."""
-        plan = self.coherence.acquire(
-            list(launch.array_args), stream, label=launch.label, kind=kind
-        )
-        op = self._kernel_op(launch, plan.fault_bytes)
-        self.coherence.release(plan, op)
-        self.engine.submit(stream, op)
-        return op
+        element: ComputationalElement,
+        parents: list[ComputationalElement],
+        launch: KernelLaunch | None,
+    ) -> tuple[SimStream, int]:
+        """The stream ``element`` is submitted to and the device its
+        data movement and bookkeeping target."""
+        raise NotImplementedError
 
-
-class SerialExecutionContext(ExecutionContext):
-    """The original GrCUDA scheduler: serial and synchronous.
-
-    Every computation runs alone on the default stream; the host blocks
-    until it finishes.  No dependencies are computed ("when using serial
-    scheduling, GrCUDA does not compute dependencies, making overheads
-    even smaller").  The DAG still records vertices for introspection,
-    but no edges are inferred.
-
-    The original scheduler predates the automatic prefetcher, so unified
-    memory reaches the GPU through page faults on Pascal+ (plain UM
-    behaviour) and through eager copies on Maxwell, which has no fault
-    mechanism.  ``SchedulerConfig(prefetch=PrefetchPolicy.SYNC)`` forces
-    eager copies everywhere (used by the contention-free measurements);
-    ``SchedulerConfig(movement=...)`` selects any movement policy
-    explicitly.
-    """
-
-    serial = True
-
-    def launch(self, launch: KernelLaunch) -> None:
-        self.kernel_count += 1
-        self.engine.charge_host_time(self.config.serial_overhead_us * 1e-6)
-        stream = self.engine.default_stream
-        # The original scheduler's eager copies predate the prefetch API;
-        # they surface as plain EAGER transfers whatever the device.
-        self._submit_launch(stream, launch, kind=TransferKind.EAGER)
-        self.engine.sync_stream(stream)
-
-    def _on_cpu_access(
-        self, array: DeviceArray, kind: AccessKind, touched: int
-    ) -> None:
-        # The device is always idle here (every launch synchronized), so
-        # only the data migration cost remains.
-        self.coherence.cpu_access(
-            array, kind, touched, stream=self.engine.default_stream
-        )
-
-
-class ParallelExecutionContext(ExecutionContext):
-    """The paper's scheduler: parallel and asynchronous.
-
-    Kernels are converted to DAG elements, dependencies are inferred from
-    dependency sets, streams come from the stream manager, and the host
-    never blocks except on CPU accesses that truly need GPU results.
-    """
-
-    def __init__(self, engine: SimEngine, config: SchedulerConfig) -> None:
-        super().__init__(engine, config)
-        self.streams = StreamManager(
-            engine,
-            new_stream=config.new_stream,
-            parent_stream=config.parent_stream,
-        )
-
-    def reclaimable_streams(self) -> tuple[SimStream, ...]:
-        return self.streams.streams + self.coherence.take_owned_streams()
-
-    # -- kernel scheduling ------------------------------------------------------
-
-    def launch(self, launch: KernelLaunch) -> None:
+    def _schedule(self, launch: KernelLaunch) -> KernelOp:
+        """Kernel invocation handler: DAG element, stream, event waits
+        on cross-stream parents, then the shared launch path — which
+        waits on in-flight shared-input migrations, plans the movement
+        the policy calls for (prefetch, batched copies, or fault charges
+        inside the kernel — the ablation of section V-C), and binds the
+        state transitions to the kernel's completion."""
         self.kernel_count += 1
         self.engine.charge_host_time(
             self.config.scheduling_overhead_us * 1e-6
         )
         element = KernelElement(launch)
         parents = self.dag.add(element)
-        stream = self.streams.assign(element, parents)
+        stream, device = self._place(element, parents, launch)
         wait_cross_stream_parents(self.engine, stream, parents)
+        op, element.finish_event = submit_compute(
+            self.coherence,
+            stream,
+            launch.label,
+            launch.array_args,
+            launch.resources(),
+            launch.execute,
+            device=device,
+            on_complete=kernel_history_recorder(launch, self.history.record),
+            finish_label=f"done:{launch.label}@gpu{device}",
+        )
+        self.dag.watch_completion(element)
+        return op
 
-        # The coherence engine waits on in-flight shared-input
-        # migrations, plans the movement the policy calls for (prefetch,
-        # batched copies, or fault charges inside the kernel — the
-        # ablation of section V-C), and binds the state transitions to
-        # the kernel's completion.
-        self._submit_launch(stream, launch)
-        element.finish_event = self.engine.record_event(
-            stream, label=f"done:{launch.label}"
+    def library_call(self, element: LibraryCallElement) -> None:
+        """Schedule a pre-registered library function (section IV-A).
+
+        Stream-aware libraries are scheduled asynchronously like kernels,
+        modelled as a full-device computation of the declared cost;
+        stream-unaware ones force a device sync and run on the host.
+        """
+        if not element.stream_aware:
+            self.sync()
+            self.engine.charge_host_time(element.cost_seconds)
+            element.fn()
+            return
+        parents = self.dag.add(element)
+        stream, device = self._place(element, parents, None)
+        wait_cross_stream_parents(self.engine, stream, parents)
+        spec = self.engine.devices[device].spec
+        _, element.finish_event = submit_compute(
+            self.coherence,
+            stream,
+            element.label,
+            element.accesses,
+            library_call_resources(spec, element.cost_seconds),
+            element.fn,
+            device=device,
+            finish_label=f"done:{element.label}@gpu{device}",
         )
         self.dag.watch_completion(element)
 
     # -- CPU array accesses -------------------------------------------------------
 
     def _on_cpu_access(
-        self, array: DeviceArray, kind: AccessKind, touched: int
+        self, array: ManagedArray, kind: AccessKind, touched: int
     ) -> None:
-        conflicts = self._conflicting_elements(array, kind)
+        """Hook called before every CPU access to a managed array: the
+        CPU-access rule of section IV-A over location sets.  Synchronize
+        the precise conflicting computations, write back from a valid
+        replica when the host copy is stale, and let a full-array
+        overwrite kill every device replica without moving a byte."""
+        conflicts = (
+            self.dag.active_users(array)
+            if kind.writes
+            else self.dag.active_writers(array)
+        )
         needs_migration = self.coherence.needs_host_migration(
             array, kind, touched
         )
         if not conflicts and not needs_migration:
             # Fast path (section IV-A): consecutive accesses, or accesses
             # while no GPU computation is active, bypass the DAG.  The
-            # coherence declaration still runs — a full-array write must
-            # invalidate the device copy through the shared transition
-            # path even when nothing migrates.
+            # coherence declaration still runs — a write must invalidate
+            # the device replicas through the shared transition path
+            # even when nothing migrates.
             self.cpu_access_fast_path_count += 1
             if kind.writes:
                 self.coherence.cpu_access(array, kind, touched)
@@ -333,43 +337,82 @@ class ParallelExecutionContext(ExecutionContext):
         self.dag.deactivate(element)
         self.dag.deactivate_completed()
 
-    def _conflicting_elements(
-        self, array: DeviceArray, kind: AccessKind
-    ) -> list[ComputationalElement]:
-        """Active elements this CPU access would depend on (indexed:
-        O(degree) per access instead of a full frontier scan)."""
-        if kind.writes:
-            return self.dag.active_users(array)
-        return self.dag.active_writers(array)
 
-    # -- library functions -----------------------------------------------------
+class SerialExecutionContext(ExecutionContext):
+    """The original GrCUDA scheduler: serial and synchronous.
+
+    Every computation runs alone on the default stream; the host blocks
+    until it finishes.  No dependencies are computed ("when using serial
+    scheduling, GrCUDA does not compute dependencies, making overheads
+    even smaller").
+
+    The original scheduler predates the automatic prefetcher, so unified
+    memory reaches the GPU through page faults on Pascal+ (plain UM
+    behaviour) and through eager copies on Maxwell, which has no fault
+    mechanism.  ``SchedulerConfig(prefetch=PrefetchPolicy.SYNC)`` forces
+    eager copies everywhere (used by the contention-free measurements);
+    ``SchedulerConfig(movement=...)`` selects any movement policy
+    explicitly.
+    """
+
+    serial = True
+
+    def launch(self, launch: KernelLaunch) -> None:
+        self.kernel_count += 1
+        self.engine.charge_host_time(self.config.serial_overhead_us * 1e-6)
+        stream = self.engine.default_stream
+        # The original scheduler's eager copies predate the prefetch API;
+        # they surface as plain EAGER transfers whatever the device.
+        submit_compute(
+            self.coherence,
+            stream,
+            launch.label,
+            launch.array_args,
+            launch.resources(),
+            launch.execute,
+            kind=TransferKind.EAGER,
+            on_complete=kernel_history_recorder(launch, self.history.record),
+        )
+        self.engine.sync_stream(stream)
 
     def library_call(self, element: LibraryCallElement) -> None:
-        """Schedule a pre-registered library function (section IV-A).
+        """Library calls run on the host after a device sync: the serial
+        scheduler never overlaps anything."""
+        self.sync()
+        self.engine.charge_host_time(element.cost_seconds)
+        element.fn()
 
-        Stream-aware libraries are scheduled asynchronously like kernels,
-        modelled as a full-device computation of the declared cost;
-        stream-unaware ones force a device sync and run on the host.
-        """
-        if not element.stream_aware:
-            self.sync()
-            self.engine.charge_host_time(element.cost_seconds)
-            element.fn()
-            return
-        parents = self.dag.add(element)
-        stream = self.streams.assign(element, parents)
-        wait_cross_stream_parents(self.engine, stream, parents)
-        resources = library_call_resources(
-            self.device.spec, element.cost_seconds
+    def _on_cpu_access(
+        self, array: ManagedArray, kind: AccessKind, touched: int
+    ) -> None:
+        # The device is always idle here (every launch synchronized), so
+        # only the data migration cost remains.
+        self.coherence.cpu_access(
+            array, kind, touched, stream=self.engine.default_stream
         )
-        op = KernelOp(
-            label=element.label,
-            resources=resources,
-            compute_fn=element.fn,
+
+
+class ParallelExecutionContext(ExecutionContext):
+    """The paper's scheduler: parallel and asynchronous, on one GPU.
+
+    Kernels are converted to DAG elements, dependencies are inferred from
+    dependency sets, streams come from the stream manager, and the host
+    never blocks except on CPU accesses that truly need GPU results.
+    """
+
+    def __init__(self, engine: SimEngine, config: SchedulerConfig) -> None:
+        super().__init__(engine, config)
+        self.streams = StreamManager(
+            engine,
+            new_stream=config.new_stream,
+            parent_stream=config.parent_stream,
         )
-        op.info.update(self.op_tags)
-        self.engine.submit(stream, op)
-        element.finish_event = self.engine.record_event(
-            stream, label=f"done:{element.label}"
-        )
-        self.dag.watch_completion(element)
+
+    def reclaimable_streams(self) -> tuple[SimStream, ...]:
+        return self.streams.streams + super().reclaimable_streams()
+
+    def _place(self, element, parents, launch) -> tuple[SimStream, int]:
+        return self.streams.assign(element, parents), 0
+
+    def launch(self, launch: KernelLaunch) -> None:
+        self._schedule(launch)

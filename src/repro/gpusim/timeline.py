@@ -82,11 +82,9 @@ class Timeline:
         self._transfer_bytes: float = 0.0
 
     def __call__(self) -> "Timeline":
-        """Identity call, so both timeline spellings resolve everywhere:
-        the legacy runtime exposed ``rt.timeline`` as a property and the
-        Session API's canonical surface is ``sess.timeline()`` — with
-        the attribute being a Timeline *and* callable, Session-generic
-        code works unchanged on the deprecation shims and vice versa."""
+        """Identity call, so both spellings resolve: ``sess.timeline()``
+        (the Session API's canonical surface) and the ``sess.timeline``
+        attribute are the same Timeline."""
         return self
 
     def add(self, record: TimelineRecord) -> None:

@@ -18,12 +18,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.context import submit_compute
 from repro.errors import GraphError
 from repro.gpusim.engine import SimEngine
-from repro.gpusim.ops import KernelOp
 from repro.gpusim.stream import SimEvent, SimStream
-from repro.kernels.kernel import Kernel, KernelLaunch, normalize_dim
-from repro.kernels.profile import combine_resources
+from repro.kernels.kernel import Kernel, KernelLaunch
 from repro.memory.coherence import CoherenceEngine, MovementPolicy
 
 _node_counter = itertools.count()
@@ -78,20 +77,11 @@ class CudaGraph:
         deps: list[GraphNode] | tuple[GraphNode, ...] = (),
     ) -> GraphNode:
         """``cudaGraphAddKernelNode``: explicit dependencies, no capture."""
-        launch = kernel.bind_args(tuple(args))
-        launch = KernelLaunch(
-            kernel=launch.kernel,
-            grid=normalize_dim(grid),
-            block=normalize_dim(block),
-            args=launch.args,
-            array_args=launch.array_args,
-            scalar_args=launch.scalar_args,
-        )
         return self._add(
             GraphNode(
                 kind=NodeKind.KERNEL,
                 label=kernel.name,
-                launch=launch,
+                launch=kernel.bind(grid, block, tuple(args)),
                 deps=tuple(deps),
             )
         )
@@ -193,40 +183,17 @@ class ExecutableGraph:
                 if dep.stream_index != node.stream_index:
                     engine.wait_event(stream, events[dep.node_id])
             if node.kind is NodeKind.KERNEL:
-                assert node.launch is not None
-                self._submit_kernel(engine, stream, node.launch, coherence)
+                launch = node.launch
+                assert launch is not None
+                submit_compute(
+                    coherence,
+                    stream,
+                    launch.label,
+                    launch.array_args,
+                    launch.resources(),
+                    launch.execute,
+                )
             if node.needs_event:
                 events[node.node_id] = engine.record_event(
                     stream, label=f"g:{node.label}"
                 )
-
-    @staticmethod
-    def _submit_kernel(
-        engine: SimEngine,
-        stream: SimStream,
-        launch: KernelLaunch,
-        coherence: CoherenceEngine,
-    ) -> None:
-        """Submit one kernel with graph-style (prefetch-less) UM."""
-        plan = coherence.acquire(
-            list(launch.array_args), stream, label=launch.label
-        )
-        resources = launch.resources()
-        if plan.fault_bytes > 0:
-            resources = combine_resources(resources, plan.fault_bytes)
-        op = KernelOp(
-            label=launch.label,
-            resources=resources,
-            compute_fn=launch.execute,
-        )
-        op.info["reads"] = frozenset(
-            id(a) for a, k in launch.array_args if k.reads
-        )
-        op.info["writes"] = frozenset(
-            id(a) for a, k in launch.array_args if k.writes
-        )
-        op.info["array_names"] = {
-            id(a): a.name for a, _ in launch.array_args
-        }
-        coherence.release(plan, op)
-        engine.submit(stream, op)

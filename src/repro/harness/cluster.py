@@ -28,7 +28,7 @@ from repro.multigpu.scheduler import DevicePlacementPolicy
 from repro.obs.export import write_chrome_trace
 from repro.obs.trace import Tracer
 from repro.serve.admission import AdmissionPolicy
-from repro.serve.request import execute_serial, reset_request_ids
+from repro.serve.request import execute_serial
 from repro.serve.service import ServeConfig
 from repro.serve.workloads import traffic_mix_graphs
 
@@ -167,7 +167,6 @@ def cluster_bench(
     tracer = Tracer() if (trace or trace_out) else None
 
     def one_run() -> tuple[ClusterReport, list]:
-        reset_request_ids()
         c = Cluster(
             [list(t) for t in topologies],
             gpu=gpu,

@@ -27,7 +27,7 @@ from repro.obs.export import write_chrome_trace
 from repro.obs.trace import Tracer
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.fleet import parse_fleet_spec
-from repro.serve.request import execute_serial, reset_request_ids
+from repro.serve.request import execute_serial
 from repro.serve.service import SchedulerService, ServeConfig, ServiceReport
 from repro.serve.workloads import traffic_mix_graphs
 
@@ -110,13 +110,6 @@ def report_summary(report: ServiceReport) -> dict:
         "fingerprint": report.fingerprint(),
         "counters": dict(report.counters),
     }
-
-
-def report_fingerprint(report: ServiceReport) -> str:
-    """Deprecated alias for :meth:`ServiceReport.fingerprint` (the
-    digest moved into :mod:`repro.serve.service` so serving, chaos and
-    cluster checks share one canonical implementation)."""
-    return report.fingerprint()
 
 
 def _submit_traffic(
@@ -406,7 +399,7 @@ def chaos_grid(
 ) -> dict:
     """The fault-tolerance acceptance grid: every chaos scenario runs
     **twice** (bit-identical reports asserted via
-    :func:`report_fingerprint`), every completed request validates
+    :meth:`~repro.serve.service.ServiceReport.fingerprint`), every completed request validates
     against serial execution, and every submission must reach a
     terminal status.  Returns (and optionally writes) the grid summary.
     """
@@ -414,9 +407,6 @@ def chaos_grid(
     for name, plan in CHAOS_SCENARIOS.items():
         runs = []
         for _ in range(2):
-            # Request ids are process-global; reset so the two runs
-            # (and the grid's scenarios) compare bit-identical.
-            reset_request_ids()
             report = serve_bench(
                 tenants=tenants,
                 requests=requests,

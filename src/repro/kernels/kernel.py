@@ -116,6 +116,11 @@ class Kernel:
         self, grid: int | tuple[int, ...], block: int | tuple[int, ...] = 128
     ) -> "ConfiguredKernel":
         """Configure a launch geometry: ``kernel(blocks, threads)``."""
+        return ConfiguredKernel(self, *self._geometry(grid, block))
+
+    def _geometry(
+        self, grid: int | tuple[int, ...], block: int | tuple[int, ...]
+    ) -> tuple[Dim, Dim]:
         grid3 = normalize_dim(grid)
         block3 = normalize_dim(block)
         tpb = _dim_product(block3)
@@ -124,10 +129,19 @@ class Kernel:
                 f"{self.name}: {tpb} threads per block exceeds the CUDA"
                 f" limit of {MAX_THREADS_PER_BLOCK}"
             )
-        return ConfiguredKernel(self, grid3, block3)
+        return grid3, block3
 
-    def bind_args(self, args: tuple[Any, ...]) -> KernelLaunch:
-        """Validate ``args`` against the signature; package a launch."""
+    def bind(
+        self,
+        grid: int | tuple[int, ...],
+        block: int | tuple[int, ...],
+        args: tuple[Any, ...],
+    ) -> KernelLaunch:
+        """Validate the geometry (CUDA's threads-per-block limit) and
+        ``args`` against the signature; package a launch.  Every launch
+        path — configured kernels, CUDA-graph nodes, the hand-tuned
+        baseline, capture replay — binds through here."""
+        grid3, block3 = self._geometry(grid, block)
         params = self.signature.parameters
         if len(args) != len(params):
             raise LaunchError(
@@ -155,11 +169,10 @@ class Kernel:
                         f" scalar; got a DeviceArray"
                     )
                 scalar_args.append(arg)
-        # Bind a placeholder geometry; ConfiguredKernel overrides it.
         return KernelLaunch(
             kernel=self,
-            grid=(1, 1, 1),
-            block=(1, 1, 1),
+            grid=grid3,
+            block=block3,
             args=tuple(args),
             array_args=tuple(array_args),
             scalar_args=tuple(scalar_args),
@@ -178,15 +191,7 @@ class ConfiguredKernel:
     block: Dim
 
     def __call__(self, *args: Any) -> KernelLaunch:
-        launch = self.kernel.bind_args(args)
-        launch = KernelLaunch(
-            kernel=launch.kernel,
-            grid=self.grid,
-            block=self.block,
-            args=launch.args,
-            array_args=launch.array_args,
-            scalar_args=launch.scalar_args,
-        )
+        launch = self.kernel.bind(self.grid, self.block, args)
         self.kernel.launch_count += 1
         if self.kernel.launch_handler is None:
             raise LaunchError(

@@ -59,8 +59,7 @@ class Polyglot:
 
     The DSL program never names a device: the same expressions reach a
     single GPU or a multi-GPU fleet depending only on the session's
-    configuration (a ``GrCUDARuntime`` is accepted too — it *is* a
-    1-GPU session).
+    configuration.
     """
 
     LANGUAGE = "grcuda"

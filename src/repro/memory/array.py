@@ -2,33 +2,31 @@
 
 A :class:`DeviceArray` is the GrCUDA managed array: a numpy buffer that
 the host program indexes like a normal array while the runtime intercepts
-every access to (a) keep the coherence state machine honest and (b) turn
+every access to (a) keep the coherence state honest and (b) turn
 accesses that conflict with in-flight GPU work into computational
 elements (section IV-A: "memory accesses by the CPU host program to
 GrCUDA UM-backed arrays" are DAG vertices).
 
+Every managed array tracks a *location set*: whether the host copy is
+valid, and which devices hold a valid replica.  A single-GPU
+:class:`DeviceArray` is the one-device case; the multi-GPU
+:class:`~repro.multigpu.array.MultiGpuArray` is the same class with
+more devices, so both share one state and one set of transitions.
+
 Values live in one numpy buffer — the host/device "copies" exist only in
-the coherence state used for timing.  This keeps functional results exact
+the location set used for timing.  This keeps functional results exact
 while the simulator charges realistic migration costs.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.gpusim.device import Device
-from repro.memory.pages import (
-    PAGE_SIZE_BYTES,
-    CoherenceState,
-    after_cpu_read,
-    after_cpu_write,
-    after_gpu_read,
-    after_gpu_write,
-)
+from repro.memory.pages import CoherenceState, page_span
 
 
 class AccessKind(enum.Enum):
@@ -38,44 +36,77 @@ class AccessKind(enum.Enum):
     WRITE = "write"
     READ_WRITE = "read_write"
 
-    @property
-    def reads(self) -> bool:
-        return self in (AccessKind.READ, AccessKind.READ_WRITE)
-
-    @property
-    def writes(self) -> bool:
-        return self in (AccessKind.WRITE, AccessKind.READ_WRITE)
+    def __init__(self, value: str) -> None:
+        # Plain attributes: every access declaration reads them.
+        self.reads = value != "write"
+        self.writes = value != "read"
 
 
 #: Signature of the CPU-access hook installed by the execution context.
 #: Called *before* the numpy access happens.
-AccessHook = Callable[["DeviceArray", AccessKind, int], None]
+AccessHook = Callable[["ManagedArray", AccessKind, int], None]
 
 
-class HostArraySurface:
-    """The hooked host-access surface shared by the single-GPU
-    :class:`DeviceArray` and the multi-GPU
-    :class:`~repro.multigpu.array.MultiGpuArray`.
+def lowest_device(mask: int) -> int:
+    """Index of the lowest set bit of a non-empty device mask."""
+    return (mask & -mask).bit_length() - 1
 
-    Subclasses provide the storage fields (``_shape``, ``_dtype``,
-    ``_data``, ``materialized``, ``name``, ``freed``) and one method —
-    ``_notify(kind, touched)``, called *before* every host access —
-    which routes the access through the execution context's hook (and
-    defines what an unhooked access means for that array kind).  Keeping
-    the indexing/bulk-copy methods here guarantees the two array types
-    cannot drift apart: a host program behaves identically whatever the
-    session's device count.
+
+def copy_source(
+    valid_mask: int, host_valid: bool, device_index: int
+) -> int | None:
+    """Cheapest source for making ``device_index`` valid in a location
+    set: None if already resident, else the lowest valid peer (a
+    peer-to-peer copy), else ``-1`` for the host."""
+    if valid_mask >> device_index & 1:
+        return None
+    if valid_mask:
+        return lowest_device(valid_mask)
+    assert host_valid, "a location set lost all its copies"
+    return -1
+
+
+class ManagedArray:
+    """A UM-backed array: hooked host access over one numpy buffer,
+    plus the location set the coherence engine keeps honest.
+
+    ``host_valid`` says whether the host copy is valid; bit ``d`` of
+    ``valid_mask`` whether device ``d`` holds a valid replica.  Writes
+    invalidate every other copy; reads add one.  Fresh UM memory is
+    zeroed, so a new array is valid everywhere.
+
+    Host accesses go through :meth:`_notify` before they happen: with
+    an execution context attached it routes them through the context's
+    hook, which syncs conflicting work and charges the migration;
+    without one the transition applies directly.
     """
 
-    _shape: tuple[int, ...]
-    _dtype: np.dtype
-    _data: np.ndarray
-    materialized: bool
-    name: str
-    freed: bool
-
-    def _notify(self, kind: AccessKind, touched: int) -> None:
-        raise NotImplementedError
+    def __init__(
+        self,
+        shape: tuple[int, ...] | int,
+        dtype: Any,
+        devices: tuple[Device, ...],
+        device_count: int,
+        name: str,
+        materialize: bool,
+    ) -> None:
+        self._shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        self._dtype = np.dtype(dtype)
+        self.name = name or f"arr{id(self) & 0xFFFF:x}"
+        self.materialized = materialize
+        # Timing-only sweeps at paper scales would need tens of GB of
+        # host RAM; a virtual array keeps the declared geometry (all
+        # transfer/coherence costs stay exact) without the buffer.
+        self._data = np.zeros(
+            self._shape if materialize else 1, dtype=self._dtype
+        )
+        self.devices = devices
+        self.device_count = device_count
+        self.host_valid = True
+        self.valid_mask = (1 << device_count) - 1
+        self._alloc_handles = [dev.allocate(self.nbytes) for dev in devices]
+        self._on_cpu_access: AccessHook | None = None
+        self.freed = False
 
     # -- basic properties ---------------------------------------------------
 
@@ -109,7 +140,62 @@ class HostArraySurface:
         if self.freed:
             raise ValueError(f"array {self.name} was freed")
 
+    # -- location set ---------------------------------------------------------
+
+    @property
+    def valid_on(self) -> set[int]:
+        """Devices holding a valid replica."""
+        return {d for d in range(self.device_count) if self.valid_mask >> d & 1}
+
+    def resident_on(self, device_index: int) -> bool:
+        return bool(self.valid_mask >> device_index & 1)
+
+    def migration_source(self, device_index: int) -> int | None:
+        """See :func:`copy_source`."""
+        return copy_source(self.valid_mask, self.host_valid, device_index)
+
+    def migration_bytes(self, device_index: int = 0) -> int:
+        """Bytes to move before a kernel on ``device_index`` reads this."""
+        return 0 if self.resident_on(device_index) else self.nbytes
+
+    def stale_host_bytes(self, touched: int | None = None) -> int:
+        """Bytes that must move device->host before a CPU access of
+        ``touched`` bytes (page-rounded, capped at the array size)."""
+        if self.host_valid:
+            return 0
+        return page_span(self.nbytes if touched is None else touched, self.nbytes)
+
+    def mark_read(self, device_index: int = 0) -> None:
+        """Device obtained a valid copy (after its migration landed)."""
+        self.valid_mask |= 1 << device_index
+
+    def mark_write(self, device_index: int = 0) -> None:
+        """Device wrote the array: every other copy is stale."""
+        self.valid_mask = 1 << device_index
+        self.host_valid = False
+
+    def mark_cpu_read(self) -> None:
+        self.host_valid = True
+
+    def mark_cpu_write(self) -> None:
+        self.host_valid = True
+        self.valid_mask = 0
+
     # -- host access (hooked) ------------------------------------------------
+
+    def set_access_hook(self, hook: AccessHook | None) -> None:
+        """Route the array's CPU accesses through an execution context."""
+        self._on_cpu_access = hook
+
+    def _notify(self, kind: AccessKind, touched: int) -> None:
+        """Declare an imminent host access (see the class docs)."""
+        if self._on_cpu_access is not None:
+            self._on_cpu_access(self, kind, touched)
+            return
+        if kind.reads:
+            self.mark_cpu_read()
+        if kind.writes:
+            self.mark_cpu_write()
 
     def _touched_bytes(self, key: Any) -> int:
         """Rough byte count an indexing expression touches."""
@@ -205,9 +291,29 @@ class HostArraySurface:
         """
         return self._data
 
+    # -- lifecycle ----------------------------------------------------------------
 
-class DeviceArray(HostArraySurface):
-    """A unified-memory array visible to both host code and GPU kernels."""
+    def free(self) -> None:
+        """Release the device allocations.  Idempotent."""
+        if self.freed:
+            return
+        for dev, handle in zip(self.devices, self._alloc_handles):
+            dev.free(handle)
+        self._alloc_handles = []
+        self.freed = True
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        where = ["host"] if self.host_valid else []
+        where += [f"gpu{i}" for i in sorted(self.valid_on)]
+        return (
+            f"<{type(self).__name__} {self.name} {self._dtype}"
+            f"{list(self._shape)} valid on {'+'.join(where) or 'nowhere'}>"
+        )
+
+
+class DeviceArray(ManagedArray):
+    """A unified-memory array visible to both host code and one GPU: the
+    one-device location set."""
 
     def __init__(
         self,
@@ -217,89 +323,21 @@ class DeviceArray(HostArraySurface):
         name: str = "",
         materialize: bool = True,
     ) -> None:
-        self._shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        self._dtype = np.dtype(dtype)
-        self.materialized = materialize
-        if materialize:
-            self._data = np.zeros(self._shape, dtype=self._dtype)
-        else:
-            # Timing-only sweeps at paper scales would need tens of GB of
-            # host RAM; a virtual array keeps the declared geometry (all
-            # transfer/coherence costs stay exact) without the buffer.
-            self._data = np.zeros(1, dtype=self._dtype)
-        self.name = name or f"arr{id(self) & 0xFFFF:x}"
-        self.device = device
-        self.state = CoherenceState.SHARED  # fresh UM memory is zeroed
-        self._alloc_handle: int | None = None
-        self._on_cpu_access: AccessHook | None = None
-        self.freed = False
-        if device is not None:
-            self._alloc_handle = device.allocate(self.nbytes)
-
-    # -- coherence ------------------------------------------------------------
-
-    def stale_device_bytes(self) -> int:
-        """Bytes that must move host->device before a GPU read."""
-        return 0 if self.state.device_valid else self.nbytes
-
-    def stale_host_bytes(self, touched: int | None = None) -> int:
-        """Bytes that must move device->host before a CPU access of
-        ``touched`` bytes (page-rounded, capped at the array size)."""
-        if self.state.host_valid:
-            return 0
-        touched = self.nbytes if touched is None else touched
-        pages = max(1, math.ceil(touched / PAGE_SIZE_BYTES))
-        return min(self.nbytes, pages * PAGE_SIZE_BYTES)
-
-    def mark_gpu_read(self) -> None:
-        self.state = after_gpu_read(self.state)
-
-    def mark_gpu_write(self) -> None:
-        self.state = after_gpu_write(self.state)
-
-    def mark_cpu_read(self) -> None:
-        self.state = after_cpu_read(self.state)
-
-    def mark_cpu_write(self) -> None:
-        self.state = after_cpu_write(self.state)
-
-    # -- host access (hooked) ------------------------------------------------
-
-    def set_access_hook(self, hook: AccessHook | None) -> None:
-        self._on_cpu_access = hook
-
-    def _notify(self, kind: AccessKind, touched: int) -> None:
-        """Declare an imminent host access to the execution context.
-
-        Without a context attached the access is unmanaged: no timing is
-        charged and no transition applies (standalone arrays are plain
-        buffers; the baselines install their own hooks)."""
-        if self._on_cpu_access is not None:
-            self._on_cpu_access(self, kind, touched)
-
-    def touch_write_full(self) -> None:
-        self._check_alive()
-        if self._on_cpu_access is not None:
-            self._on_cpu_access(self, AccessKind.WRITE, self.nbytes)
-        else:
-            # Unlike indexing (host-only convenience on unmanaged
-            # arrays), an *announced* full write exists purely for the
-            # coherence machine: transition even without a context.
-            self.mark_cpu_write()
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def free(self) -> None:
-        """Release the device allocation.  Idempotent."""
-        if self.freed:
-            return
-        if self.device is not None and self._alloc_handle is not None:
-            self.device.free(self._alloc_handle)
-            self._alloc_handle = None
-        self.freed = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<DeviceArray {self.name} {self.dtype}{list(self.shape)}"
-            f" {self.state.value}>"
+        super().__init__(
+            shape,
+            dtype,
+            devices=() if device is None else (device,),
+            device_count=1,
+            name=name,
+            materialize=materialize,
         )
+        self.device = device
+
+    @property
+    def state(self) -> CoherenceState:
+        """The location set as the two-copy MSI state."""
+        if not self.valid_mask:
+            return CoherenceState.HOST_ONLY
+        if self.host_valid:
+            return CoherenceState.SHARED
+        return CoherenceState.DEVICE_ONLY

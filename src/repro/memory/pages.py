@@ -81,3 +81,9 @@ def pages_for_bytes(nbytes: int) -> int:
     if nbytes <= 0:
         return 0
     return -(-nbytes // PAGE_SIZE_BYTES)
+
+
+def page_span(touched: int, limit: int) -> int:
+    """Bytes a host access of ``touched`` bytes migrates: whole pages,
+    at least one, capped at ``limit`` (the array size)."""
+    return min(limit, max(1, pages_for_bytes(int(touched))) * PAGE_SIZE_BYTES)

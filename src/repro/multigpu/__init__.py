@@ -8,8 +8,8 @@ This package implements exactly that on the simulator substrate:
 
 * :class:`MultiGpuArray` tracks *data location* — which devices (and the
   host) hold a valid copy;
-* :class:`MultiGpuScheduler` extends the runtime DAG scheduler with a
-  device-placement step that prices each candidate GPU's *migration
+* :class:`MultiGpuExecutionContext` extends the runtime DAG scheduler
+  with a device-placement step that prices each candidate GPU's *migration
   cost* (host uploads and peer-to-peer copies) before choosing, with
   round-robin and locality-aware policies to compare;
 * peer-to-peer transfers ride the simulator's ``DEVICE_TO_DEVICE``
@@ -22,11 +22,9 @@ events, race detection) is reused unchanged.
 from repro.core.policies import DevicePlacementPolicy
 from repro.multigpu.array import MultiGpuArray
 from repro.multigpu.context import MultiGpuExecutionContext
-from repro.multigpu.scheduler import MultiGpuScheduler
 
 __all__ = [
     "MultiGpuArray",
     "MultiGpuExecutionContext",
     "DevicePlacementPolicy",
-    "MultiGpuScheduler",
 ]

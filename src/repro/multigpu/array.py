@@ -1,36 +1,27 @@
-"""Arrays with per-device data-location tracking.
+"""Arrays visible to several GPUs.
 
-The single-GPU :class:`~repro.memory.array.DeviceArray` tracks two
-copies (host/device); with multiple GPUs the location state becomes a
-set: the host and any subset of devices may hold a valid copy, writes
-invalidate everyone else, and the scheduler prices migrations from
-whichever valid copy is cheapest to reach.
+A :class:`MultiGpuArray` is a :class:`~repro.memory.array.ManagedArray`
+whose location set spans every device of the session: the host and any
+subset of devices may hold a valid copy, writes invalidate everyone
+else, and the scheduler prices migrations from whichever valid copy is
+cheapest to reach.  The single-GPU
+:class:`~repro.memory.array.DeviceArray` is the one-device case of the
+same state and transitions, so host programs — and the polyglot DSL —
+are written once and run unchanged whatever the session's device count.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from repro.gpusim.device import Device
-from repro.memory.array import AccessKind, HostArraySurface
-
-#: CPU-access hook installed by the multi-GPU execution context; called
-#: *before* the numpy access happens (same protocol as ``DeviceArray``).
-MultiAccessHook = Callable[["MultiGpuArray", AccessKind, int], None]
+from repro.memory.array import DeviceArray, ManagedArray
 
 
-class MultiGpuArray(HostArraySurface):
-    """A unified-memory array visible to the host and several GPUs.
-
-    Shares the host surface of
-    :class:`~repro.memory.array.DeviceArray` (hooked indexing, bulk
-    copies, ``kernel_view`` — via
-    :class:`~repro.memory.array.HostArraySurface`) so host programs —
-    and the polyglot DSL — are written once and run unchanged whatever
-    the session's device count.
-    """
+class MultiGpuArray(ManagedArray):
+    """A unified-memory array visible to the host and several GPUs."""
 
     def __init__(
         self,
@@ -40,105 +31,31 @@ class MultiGpuArray(HostArraySurface):
         name: str = "",
         materialize: bool = True,
     ) -> None:
-        self._shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        self._dtype = np.dtype(dtype)
-        self.name = name or f"marr{id(self) & 0xFFFF:x}"
-        self.materialized = materialize
-        self._data = (
-            np.zeros(self._shape, dtype=self._dtype)
-            if materialize
-            else np.zeros(1, dtype=self._dtype)
+        super().__init__(
+            shape,
+            dtype,
+            devices=devices,
+            device_count=len(devices),
+            name=name,
+            materialize=materialize,
         )
-        self.devices = devices
-        #: validity: host + per-device.  Fresh UM memory is zeroed and
-        #: valid everywhere (no copy exists yet to be stale).
-        self.host_valid = True
-        self.valid_on: set[int] = set(range(len(devices)))
-        self._alloc_handles = [
-            dev.allocate(self.nbytes) for dev in devices
-        ]
-        self._on_cpu_access: MultiAccessHook | None = None
-        self.freed = False
 
-    # -- location queries -----------------------------------------------------
 
-    def valid_anywhere(self) -> bool:
-        return self.host_valid or bool(self.valid_on)
-
-    def resident_on(self, device_index: int) -> bool:
-        return device_index in self.valid_on
-
-    def migration_source(self, device_index: int) -> int | None:
-        """Cheapest source for making ``device_index`` valid.
-
-        Returns another device index (peer-to-peer copy), ``-1`` for the
-        host, or None if already resident.
-        """
-        if self.resident_on(device_index):
-            return None
-        peers = sorted(self.valid_on)
-        if peers:
-            return peers[0]
-        assert self.host_valid, f"{self.name} lost all copies"
-        return -1
-
-    def migration_bytes(self, device_index: int) -> int:
-        """Bytes to move before a kernel on ``device_index`` reads this."""
-        return 0 if self.resident_on(device_index) else self.nbytes
-
-    # -- transitions -------------------------------------------------------------
-
-    def mark_read(self, device_index: int) -> None:
-        """Device obtained a valid copy (after its migration landed)."""
-        self.valid_on.add(device_index)
-
-    def mark_write(self, device_index: int) -> None:
-        """Device wrote the array: every other copy is stale."""
-        self.valid_on = {device_index}
-        self.host_valid = False
-
-    def mark_cpu_read(self) -> None:
-        self.host_valid = True
-
-    def mark_cpu_write(self) -> None:
-        self.host_valid = True
-        self.valid_on.clear()
-
-    # -- host access (hooked) --------------------------------------------------
-
-    def set_access_hook(self, hook: MultiAccessHook | None) -> None:
-        """Route the array's CPU accesses through an execution context."""
-        self._on_cpu_access = hook
-
-    def _notify(self, kind: AccessKind, touched: int) -> None:
-        """Declare an imminent host access.  With no context attached the
-        location-set transition applies directly (standalone arrays stay
-        coherent — the location set *is* this class's reason to exist)."""
-        if self._on_cpu_access is not None:
-            self._on_cpu_access(self, kind, touched)
-            return
-        if kind.reads:
-            self.mark_cpu_read()
-        if kind.writes:
-            self.mark_cpu_write()
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def free(self) -> None:
-        """Release the per-device allocations.  Idempotent."""
-        if self.freed:
-            return
-        for dev, handle in zip(self.devices, self._alloc_handles):
-            dev.free(handle)
-        self._alloc_handles = []
-        self.freed = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = []
-        if self.host_valid:
-            where.append("host")
-        where += [f"gpu{i}" for i in sorted(self.valid_on)]
-        return (
-            f"<MultiGpuArray {self.name} {self._dtype}{list(self._shape)}"
-            f" valid on {'+'.join(where) or 'nowhere'}>"
+def managed_array(
+    shape: tuple[int, ...] | int,
+    dtype: Any,
+    devices: tuple[Device, ...],
+    name: str = "",
+    materialize: bool = True,
+) -> ManagedArray:
+    """The array type for ``devices``: a :class:`DeviceArray` on one GPU,
+    a :class:`MultiGpuArray` on several."""
+    if len(devices) == 1:
+        return DeviceArray(
+            shape, dtype=dtype, device=devices[0], name=name,
+            materialize=materialize,
         )
+    return MultiGpuArray(
+        shape, dtype=dtype, devices=devices, name=name,
+        materialize=materialize,
+    )

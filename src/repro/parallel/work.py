@@ -25,18 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.context import (
-    annotate_kernel_access_sets,
-    kernel_history_recorder,
-)
+from repro.core.context import kernel_history_recorder, submit_compute
 from repro.core.history import KernelExecutionRecord
-from repro.gpusim.ops import KernelOp
 from repro.gpusim.timeline import TimelineRecord
-from repro.kernels.kernel import KernelLaunch, normalize_dim
-from repro.kernels.profile import combine_resources
-from repro.memory.array import AccessKind, DeviceArray
+from repro.memory.array import AccessKind, ManagedArray
 from repro.memory.coherence import CoherenceEngine
-from repro.multigpu.array import MultiGpuArray
+from repro.multigpu.array import managed_array
 from repro.obs.trace import TraceEvent, Tracer
 from repro.serve.capture import CapturePlan
 from repro.serve.fleet import FleetSlot
@@ -129,7 +123,7 @@ class Submission:
         self.batch_id = batch_id
         self.batch_size = batch_size
         self.replayed = replayed
-        self.arrays: dict[str, DeviceArray | MultiGpuArray] = {}
+        self.arrays: dict[str, ManagedArray] = {}
         self.context = None            # context path only
         self.coherence: CoherenceEngine | None = None   # replay path
         self.history: list[KernelExecutionRecord] = []  # replay path
@@ -191,8 +185,7 @@ def submit_replay(
     pre-assigned streams, pre-computed event waits, no per-launch
     dependency inference.  On a multi-GPU slot, plan stream ``i``
     runs on slot device ``i % gpus`` (the deterministic mapping the
-    plan was keyed under), and data movement flows through the
-    coherence engine's multi-GPU location-set overlay."""
+    plan was keyed under)."""
     rt = slot.session
     engine = slot.engine
     graph = request.graph
@@ -221,31 +214,15 @@ def submit_replay(
     streams = slot.replay_streams(plan.stream_count, member=member)
     engine.charge_host_time(config.replay_overhead_us * 1e-6)
 
-    multi = slot.gpus > 1
     for name, decl in graph.arrays.items():
-        arr: DeviceArray | MultiGpuArray
-        if multi:
-            arr = MultiGpuArray(
-                decl.shape,
-                dtype=decl.dtype,
-                devices=rt.devices,
-                name=name,
-            )
-        else:
-            arr = DeviceArray(
-                decl.shape, dtype=decl.dtype, device=rt.device,
-                name=name,
-            )
+        arr = managed_array(decl.shape, decl.dtype, rt.devices, name=name)
         rt.adopt_array(arr)  # freed with the batch
         if decl.init is not None:
-            # No hook installed: copy_from_host applies the host
-            # -write transition itself; declare it to the engine so
-            # planned overlays and pending migrations reset too.
+            # No hook installed: copy_from_host applies the host-write
+            # transition itself; declare it to the engine so planned
+            # overlays and pending migrations reset too.
             arr.copy_from_host(decl.init)
-            if multi:
-                coherence.cpu_write_full_multi(arr, mark=False)
-            else:
-                coherence.cpu_access(arr, AccessKind.WRITE, arr.nbytes)
+            coherence.cpu_access(arr, AccessKind.WRITE, arr.nbytes)
         sub.arrays[name] = arr
 
     events: dict[int, object] = {}
@@ -253,74 +230,30 @@ def submit_replay(
         stream = streams[step.stream]
         for w in step.waits:
             engine.wait_event(stream, events[w])
-
         kernel = slot.kernel_for(
             graph.kernel_by_name(launch_decl.kernel)
         )
-        bound = kernel.bind_args(
+        launch = kernel.bind(
+            launch_decl.grid,
+            launch_decl.block,
             tuple(
                 sub.arrays[a] if isinstance(a, str) else a
                 for a in launch_decl.args
-            )
+            ),
         )
-        launch = KernelLaunch(
-            kernel=bound.kernel,
-            grid=normalize_dim(launch_decl.grid),
-            block=normalize_dim(launch_decl.block),
-            args=bound.args,
-            array_args=bound.array_args,
-            scalar_args=bound.scalar_args,
+        _, finish_event = submit_compute(
+            coherence,
+            stream,
+            launch.label,
+            launch.array_args,
+            launch.resources(),
+            launch.execute,
+            on_complete=kernel_history_recorder(launch, sub.history.append),
+            finish_label=(
+                f"replay:{launch.label}" if step.record_event else None
+            ),
         )
-        accesses = list(launch.array_args)
-        device_index = step.stream % slot.gpus
-        if multi:
-            acq = coherence.acquire_multi(
-                accesses, stream, device_index, label=launch.label
-            )
-        else:
-            acq = coherence.acquire(
-                accesses, stream, label=launch.label
-            )
-        resources = launch.resources()
-        if acq.fault_bytes > 0:
-            resources = combine_resources(resources, acq.fault_bytes)
-        op = KernelOp(
-            label=launch.label,
-            resources=resources,
-            compute_fn=launch.execute,
-        )
-        if multi:
-            # Race-detector tokens are per (array, device) copy,
-            # exactly like the multi-GPU execution context.
-            op.info["reads"] = frozenset(
-                (id(a), device_index) for a, k in accesses if k.reads
-            )
-            op.info["writes"] = frozenset(
-                (id(a), device_index) for a, k in accesses if k.writes
-            )
-            op.info["array_names"] = {
-                (id(a), device_index): f"{a.name}@gpu{device_index}"
-                for a, _ in accesses
-            }
-            op.info["device"] = device_index
-        else:
-            annotate_kernel_access_sets(op, launch)
-        op.info.update(tags)
-        op.on_complete.append(
-            kernel_history_recorder(launch, sub.history.append)
-        )
-        if multi:
-            coherence.release_multi(acq, accesses, device_index, op)
-        else:
-            coherence.release(acq, op)
-        engine.submit(stream, op)
         slot.kernels_launched += 1
-        finish_event = None
-        if step.record_event or acq.fault_replicas:
-            finish_event = engine.record_event(
-                stream, label=f"replay:{launch.label}"
-            )
-            coherence.register_fault_ordering(acq, finish_event)
         if step.record_event:
             events[step.index] = finish_event
     return sub
@@ -347,15 +280,10 @@ def read_outputs(
             # readback to the request's coherence engine, mirroring
             # the hook's behaviour on the context path.
             assert sub.coherence is not None
-            if isinstance(arr, MultiGpuArray):
-                sub.coherence.cpu_read_multi(
-                    arr, engine.default_stream
-                )
-            else:
-                sub.coherence.cpu_access(
-                    arr, AccessKind.READ, arr.nbytes,
-                    stream=engine.default_stream,
-                )
+            sub.coherence.cpu_access(
+                arr, AccessKind.READ, arr.nbytes,
+                stream=engine.default_stream,
+            )
             outputs[name] = (
                 arr.kernel_view.copy()
                 if arr.materialized

@@ -59,7 +59,6 @@ from repro.serve.request import (
     RequestStatus,
     TaskGraph,
     execute_serial,
-    reset_request_ids,
 )
 from repro.serve.service import (
     SchedulerService,
@@ -99,5 +98,4 @@ __all__ = [
     "derive_plan",
     "execute_serial",
     "make_queue",
-    "reset_request_ids",
 ]

@@ -181,11 +181,6 @@ class FleetSlot:
         self.warm_topologies.clear()
 
     @property
-    def runtime(self) -> Session:
-        """Deprecated alias: the fleet is a pool of Sessions now."""
-        return self.session
-
-    @property
     def engine(self):
         return self.session.engine
 
@@ -345,11 +340,6 @@ class GpuFleet:
             tracer=tracer,
             width_normalized=width_normalized,
         )
-
-    @property
-    def devices(self) -> list[FleetSlot]:
-        """Deprecated alias for :attr:`slots` (pre-topology name)."""
-        return self.slots
 
     @property
     def topology(self) -> list[int]:

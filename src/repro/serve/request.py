@@ -36,25 +36,9 @@ from repro.gpusim.specs import GPUSpec
 from repro.kernels.profile import CostModel
 from repro.kernels.signature import parse_signature
 
+#: ids for requests constructed directly; services and clusters number
+#: their own submissions from 1
 _request_ids = itertools.count(1)
-
-
-def reset_request_ids(start: int = 1) -> None:
-    """Restart the module-level request-id sequence (compatibility
-    shim).
-
-    Id allocation is *instance-owned* now: every
-    :class:`~repro.serve.service.SchedulerService` and
-    :class:`~repro.cluster.Cluster` numbers its own submissions from 1,
-    so concurrent services (and forked strategy workers) never
-    interleave ids and replay-determinism needs no global reset.  This
-    module-level counter only backs requests constructed *directly*
-    (``GraphRequest(...)`` with no explicit ``request_id``); resetting
-    it keeps such ad-hoc runs comparable, and existing callers keep
-    working unchanged.
-    """
-    global _request_ids
-    _request_ids = itertools.count(start)
 
 
 class RequestStatus(enum.Enum):

@@ -64,7 +64,7 @@ from repro.parallel.strategy import (
     ExecutionStrategy,
     make_strategy,
 )
-from repro.parallel.work import SlotOutcome, SlotWork, Submission
+from repro.parallel.work import SlotOutcome, SlotWork
 from repro.serve.admission import make_queue
 from repro.serve.capture import CaptureCache
 from repro.serve.fleet import FleetSlot, GpuFleet, parse_fleet_spec
@@ -75,10 +75,6 @@ from repro.serve.request import (
     TaskGraph,
 )
 from repro.serve.tenant import TenantState
-
-#: backwards-compatible alias — the in-flight bookkeeping class moved
-#: to :mod:`repro.parallel.work` so worker processes can import it
-_Submission = Submission
 
 
 @dataclass

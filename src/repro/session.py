@@ -26,9 +26,6 @@ control).  Device count and every policy — execution, streams,
 movement, placement, admission — live in one
 :class:`~repro.core.policies.SchedulerConfig`; nothing is selected by
 class.
-
-The legacy entry points (``GrCUDARuntime``, ``MultiGpuScheduler``)
-remain as deprecation shims over this class.
 """
 
 from __future__ import annotations
@@ -53,8 +50,8 @@ from repro.gpusim.timeline import Timeline
 from repro.kernels.kernel import Kernel
 from repro.kernels.profile import CostModel
 from repro.kernels.registry import KernelRegistry, build_kernel
-from repro.memory.array import AccessKind, DeviceArray
-from repro.multigpu.array import MultiGpuArray
+from repro.memory.array import AccessKind, ManagedArray
+from repro.multigpu.array import managed_array
 from repro.multigpu.context import MultiGpuExecutionContext
 from repro.obs.counters import CounterRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -105,7 +102,6 @@ class Session:
         registry: KernelRegistry | None = None,
         serving: bool = False,
         tracer: Tracer | None = None,
-        _force_multi: bool = False,
     ) -> None:
         if not isinstance(gpu, (str, GPUSpec)):
             gpu_list = list(gpu)
@@ -123,8 +119,7 @@ class Session:
             raise ConfigError(
                 f"gpus={gpus} but {len(gpu_list)} GPU specs were given"
             )
-        self._multi = gpus > 1 or _force_multi
-        if self._multi and self.config.execution is ExecutionPolicy.SERIAL:
+        if gpus > 1 and self.config.execution is ExecutionPolicy.SERIAL:
             raise ConfigError(
                 "the serial scheduler is single-GPU (the original GrCUDA"
                 " scheduler predates device placement); use"
@@ -146,12 +141,12 @@ class Session:
             self.engine = SimEngine(list(self.devices), tracer=tracer)
         self.registry = registry
         self.context: ExecutionContext = self._build_context()
-        self._arrays: list[DeviceArray | MultiGpuArray] = []
+        self._arrays: list[ManagedArray] = []
         #: contexts retired by :meth:`renew_context` (re-entrancy count)
         self.context_generation = 0
 
     def _build_context(self) -> ExecutionContext:
-        if self._multi:
+        if self.gpus > 1:
             return MultiGpuExecutionContext(self.engine, self.config)
         if self.config.execution is ExecutionPolicy.SERIAL:
             return SerialExecutionContext(self.engine, self.config)
@@ -212,7 +207,7 @@ class Session:
         dtype: Any = np.float32,
         name: str = "",
         materialize: bool = True,
-    ) -> DeviceArray | MultiGpuArray:
+    ) -> ManagedArray:
         """Allocate a UM-backed array managed by this session.
 
         A single-GPU session returns a
@@ -225,28 +220,14 @@ class Session:
         memory — for timing-only sweeps at scales that would not fit in
         host RAM.  All scheduling and transfer costs stay exact.
         """
-        arr: DeviceArray | MultiGpuArray
-        if self._multi:
-            arr = MultiGpuArray(
-                shape,
-                dtype=dtype,
-                devices=self.devices,
-                name=name,
-                materialize=materialize,
-            )
-        else:
-            arr = DeviceArray(
-                shape,
-                dtype=dtype,
-                device=self.device,
-                name=name,
-                materialize=materialize,
-            )
+        arr = managed_array(
+            shape, dtype, self.devices, name=name, materialize=materialize
+        )
         self.context.attach(arr)
         self._arrays.append(arr)
         return arr
 
-    def adopt_array(self, arr: DeviceArray) -> None:
+    def adopt_array(self, arr: ManagedArray) -> None:
         """Track an externally-created array on this session's device so
         :meth:`free_arrays` releases it (used by executors that manage
         coherence manually, e.g. the serving layer's replay path)."""
@@ -283,7 +264,7 @@ class Session:
     def library_call(
         self,
         fn: Callable[[], None],
-        accesses: list[tuple[DeviceArray, AccessKind]],
+        accesses: list[tuple[ManagedArray, AccessKind]],
         label: str = "library",
         stream_aware: bool = True,
         cost_seconds: float = 0.0,
@@ -296,15 +277,7 @@ class Session:
             stream_aware=stream_aware,
             cost_seconds=cost_seconds,
         )
-        ctx = self.context
-        if isinstance(
-            ctx, (ParallelExecutionContext, MultiGpuExecutionContext)
-        ):
-            ctx.library_call(element)
-        else:
-            ctx.sync()
-            self.engine.charge_host_time(cost_seconds)
-            fn()
+        self.context.library_call(element)
 
     # -- execution control ---------------------------------------------------------
 
@@ -317,23 +290,19 @@ class Session:
         """The engine's operation timeline (kernels, transfers, events).
 
         A property that is also callable (``Timeline.__call__`` returns
-        itself), so the canonical ``sess.timeline()`` spelling and the
-        legacy ``rt.timeline`` attribute both work on every session."""
+        itself), so ``sess.timeline()`` and ``sess.timeline`` both
+        work."""
         return self.engine.timeline
 
     def metrics(self) -> SessionMetrics:
         """Execution counters so far (no synchronization is forced)."""
         coherence = self.context.coherence
-        if isinstance(self.context, MultiGpuExecutionContext):
-            per_device = tuple(self.context.device_kernel_counts())
-        else:
-            per_device = (len(self.engine.timeline.kernels()),)
         return SessionMetrics(
             gpus=self.gpus,
             makespan=self.engine.timeline.makespan,
             host_clock=self.engine.clock,
             kernels_launched=self.context.kernel_count,
-            device_kernel_counts=per_device,
+            device_kernel_counts=tuple(self.context.device_kernel_counts()),
             transfer_ops=coherence.transfer_ops,
             migrated_bytes=coherence.migrated_bytes_total,
             fault_bytes=coherence.fault_bytes_total,

@@ -1,4 +1,4 @@
-"""End-to-end scheduler tests through the GrCUDARuntime facade.
+"""End-to-end scheduler tests through the Session facade.
 
 These exercise the VEC micro-program of the paper's Fig. 4 under both
 scheduling policies and check timing, overlap, coherence and results.
@@ -9,7 +9,7 @@ import pytest
 
 from repro import (
     ExecutionPolicy,
-    GrCUDARuntime,
+    Session,
     PrefetchPolicy,
     SchedulerConfig,
     GTX960,
@@ -42,7 +42,7 @@ COST = LinearCostModel(
 
 
 def make_runtime(policy=ExecutionPolicy.PARALLEL, gpu=GTX1660_SUPER, **kw):
-    return GrCUDARuntime(
+    return Session(
         gpu=gpu, config=SchedulerConfig(execution=policy, **kw)
     )
 

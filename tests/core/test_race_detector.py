@@ -102,3 +102,27 @@ class TestCheckNoRaces:
             krec("a", 0, 1, writes=[1]), krec("b", 2, 3, reads=[1])
         )
         check_no_races(tl)
+
+
+class TestReadbackTokens:
+    """Host readbacks carry per-copy tokens at every device count, so
+    the detector sees a readback racing a writer of its source copy."""
+
+    @pytest.mark.parametrize("gpus", [1, 2])
+    def test_dtoh_reads_the_source_replica(self, gpus):
+        from repro import Session
+
+        sess = Session(gpus=gpus)
+        x = sess.array(1 << 16, name="x")
+        write = sess.build_kernel(lambda a, n: None, "w", "ptr, sint32")
+        write(64, 256)(x, 1 << 16)
+        x.to_numpy()
+        [dtoh] = [
+            r
+            for r in sess.timeline()
+            if r.kind is IntervalKind.TRANSFER_DTOH
+        ]
+        [kernel] = sess.timeline().kernels()
+        device = kernel.meta["device"]
+        assert dtoh.meta["reads"] == frozenset({(id(x), device)})
+        assert (id(x), device) in kernel.meta["writes"]

@@ -1,4 +1,4 @@
-"""Tests for the GrCUDARuntime facade API."""
+"""Tests for the Session facade API."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro import (
     AccessKind,
     ExecutionPolicy,
-    GrCUDARuntime,
+    Session,
     SchedulerConfig,
     TESLA_P100,
 )
@@ -17,19 +17,19 @@ COST = LinearCostModel(flops_per_item=100.0, dram_bytes_per_item=8.0)
 
 class TestConstruction:
     def test_gpu_by_string(self):
-        rt = GrCUDARuntime(gpu="p100")
+        rt = Session(gpu="p100")
         assert rt.spec is TESLA_P100
 
     def test_gpu_by_spec(self):
-        rt = GrCUDARuntime(gpu=TESLA_P100)
+        rt = Session(gpu=TESLA_P100)
         assert rt.spec is TESLA_P100
 
     def test_default_is_parallel(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         assert rt.config.execution is ExecutionPolicy.PARALLEL
 
     def test_serial_config(self):
-        rt = GrCUDARuntime(
+        rt = Session(
             config=SchedulerConfig(execution=ExecutionPolicy.SERIAL)
         )
         from repro.core.context import SerialExecutionContext
@@ -37,25 +37,25 @@ class TestConstruction:
         assert isinstance(rt.context, SerialExecutionContext)
 
     def test_repr(self):
-        assert "GTX 1660 Super" in repr(GrCUDARuntime())
+        assert "GTX 1660 Super" in repr(Session())
 
 
 class TestArrays:
     def test_array_attached_and_accounted(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         a = rt.array(1000, name="a")
         assert rt.device.allocated_bytes == a.nbytes
         a[0] = 1.0  # hook active: no error, coherence handled
 
     def test_free_arrays(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         rt.array(1000)
         rt.array(2000, dtype=np.float64)
         rt.free_arrays()
         assert rt.device.allocated_bytes == 0
 
     def test_virtual_array(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         a = rt.array(10**9, materialize=False)
         assert a.nbytes == 4 * 10**9 > 0
         assert not a.materialized
@@ -63,7 +63,7 @@ class TestArrays:
 
 class TestExecution:
     def test_elapsed_and_clock(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         k = rt.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         x = rt.array(1 << 20)
         k(512, 256)(x, 1 << 20)
@@ -72,7 +72,7 @@ class TestExecution:
         assert rt.clock >= rt.elapsed()
 
     def test_reset_measurement(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         k = rt.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         x = rt.array(1 << 20)
         k(512, 256)(x, 1 << 20)
@@ -83,7 +83,7 @@ class TestExecution:
         assert rt.elapsed() > 0
 
     def test_library_call_serial_context(self):
-        rt = GrCUDARuntime(
+        rt = Session(
             config=SchedulerConfig(execution=ExecutionPolicy.SERIAL)
         )
         x = rt.array(100)
@@ -97,7 +97,7 @@ class TestExecution:
         assert rt.clock >= 1e-3
 
     def test_dag_exposed(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         k = rt.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         x = rt.array(1 << 16)
         k(64, 256)(x, 1 << 16)
@@ -105,7 +105,7 @@ class TestExecution:
         assert rt.dag.num_vertices == 1
 
     def test_history_exposed(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         k = rt.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         x = rt.array(1 << 16)
         k(64, 256)(x, 1 << 16)
@@ -119,7 +119,7 @@ class TestRegistryIntegration:
 
         reg = KernelRegistry()
         reg.register("scale2", lambda x, n: None, COST)
-        rt = GrCUDARuntime(registry=reg)
+        rt = Session(registry=reg)
         k = rt.build_kernel("scale2", "scale2", "ptr, sint32")
         x = rt.array(1 << 16)
         k(64, 256)(x, 1 << 16)
@@ -138,7 +138,7 @@ class TestReentrantContextReuse:
         return x
 
     def test_fresh_dag_and_history_per_context(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         k = rt.build_kernel(
             lambda x, n: np.square(x[:n], out=x[:n]),
             "square", "ptr, sint32", COST,
@@ -167,7 +167,7 @@ class TestReentrantContextReuse:
         assert len(tagged) == 1
 
     def test_renewal_reclaims_engine_streams(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         k = rt.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         for _ in range(6):
             self._run_square(rt, k)
@@ -178,7 +178,7 @@ class TestReentrantContextReuse:
         assert len(rt.engine.streams) <= 3
 
     def test_undrained_renewal_keeps_work_in_flight(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         k = rt.build_kernel(lambda x, n: None, "k", "ptr, sint32", COST)
         x = rt.array(1024, name="x")
         x.copy_from_host(np.zeros(1024, dtype=np.float32))
@@ -190,7 +190,7 @@ class TestReentrantContextReuse:
         rt.engine.sync_all()
 
     def test_surviving_arrays_reattach_on_drained_renewal(self):
-        rt = GrCUDARuntime()
+        rt = Session()
         x = rt.array(16, name="x")
         rt.renew_context()
         assert x._on_cpu_access is not None

@@ -1,5 +1,5 @@
-"""The unified ``repro.Session`` entry point: canonical surface,
-configuration validation, and the legacy deprecation shims."""
+"""The unified ``repro.Session`` entry point: canonical surface and
+configuration validation."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro import (
     ConfigError,
     DevicePlacementPolicy,
     ExecutionPolicy,
-    GrCUDARuntime,
     SchedulerConfig,
     Session,
     SessionMetrics,
@@ -20,11 +19,9 @@ from repro.core.context import (
 )
 from repro.kernels import LinearCostModel
 from repro.memory.array import DeviceArray
-from repro.memory.coherence import MovementPolicy
 from repro.multigpu import (
     MultiGpuArray,
     MultiGpuExecutionContext,
-    MultiGpuScheduler,
 )
 
 COST = LinearCostModel(
@@ -91,15 +88,10 @@ class TestCanonicalSurface:
         assert np.array_equal(values[1], values[4])
 
     def test_timeline_both_spellings(self):
-        """``sess.timeline()`` (canonical) and ``rt.timeline`` (legacy
-        property) resolve to the same object on Session and the shim —
-        Session-generic code never branches on which class it holds."""
+        """``sess.timeline()`` (canonical) and ``sess.timeline`` resolve
+        to the same object."""
         sess = Session()
         assert sess.timeline() is sess.timeline
-        with pytest.warns(DeprecationWarning):
-            rt = GrCUDARuntime()
-        assert rt.timeline() is rt.timeline
-        assert rt.timeline.makespan == 0.0
 
     def test_virtual_array_slicing_parity(self):
         """The shared host surface guarantees identical indexing
@@ -209,29 +201,6 @@ class TestConfigValidation:
 
 
 class TestDeprecationShims:
-    def test_grcuda_runtime_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="GrCUDARuntime"):
-            rt = GrCUDARuntime(gpu="GTX 1660 Super")
-        x = run_square(rt)
-        assert x[0] == 9.0
-        # The legacy property spelling still works on the shim.
-        assert rt.timeline.makespan > 0
-        assert isinstance(rt, Session)
-
-    def test_multigpu_scheduler_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="MultiGpuScheduler"):
-            sched = MultiGpuScheduler(["1660", "1660"])
-        k = sched.build_kernel(
-            lambda x, n: np.multiply(x[:n], 2.0, out=x[:n]),
-            "double", "ptr, sint32", COST,
-        )
-        a = sched.array(256, name="a")
-        sched.write_input(a, np.ones(256, dtype=np.float32))
-        k(4, 64)(a, 256)
-        out = sched.read_result(a)
-        assert np.all(out == 2.0)
-        assert sched.elapsed > 0
-
     def test_session_does_not_warn(self, recwarn):
         Session(gpus=2)
         assert not [

@@ -78,6 +78,35 @@ class TestLaunchValidation:
             k(1, 32)(DeviceArray(4), 4)
 
 
+class TestEveryLaunchPathChecksGeometry:
+    """CUDA-graph nodes and the hand-tuned baseline bind their launches
+    through the same geometry check as ``kernel(grid, block)``."""
+
+    def test_bind_rejects_oversized_block(self):
+        k = make_kernel([])
+        x, y = DeviceArray(8), DeviceArray(8)
+        with pytest.raises(LaunchError):
+            k.bind(4, 2048, (x, y, 8))
+
+    def test_graph_kernel_node_rejects_oversized_block(self):
+        from repro.graphs import CudaGraph
+
+        k = make_kernel([])
+        x, y = DeviceArray(8), DeviceArray(8)
+        with pytest.raises(LaunchError):
+            CudaGraph().add_kernel_node(k, 4, 2048, (x, y, 8))
+
+    def test_handtuned_launch_rejects_oversized_block(self):
+        from repro.gpusim import GTX1660_SUPER, Device, SimEngine
+        from repro.graphs import HandTunedScheduler
+
+        ht = HandTunedScheduler(SimEngine(Device(GTX1660_SUPER)))
+        k = make_kernel([])
+        x, y = DeviceArray(8), DeviceArray(8)
+        with pytest.raises(LaunchError):
+            ht.launch(ht.stream(), k, 4, (64, 32), (x, y, 8))
+
+
 class TestLaunchPackaging:
     def test_launch_captures_geometry(self):
         launches = []

@@ -4,14 +4,14 @@ listing executed verbatim (modulo the CUDA source strings)."""
 import numpy as np
 import pytest
 
-from repro import GrCUDARuntime
+from repro import Session
 from repro.errors import PolyglotError
 from repro.lang import Polyglot
 
 
 @pytest.fixture
 def poly():
-    return Polyglot(GrCUDARuntime(gpu="GTX 1660 Super"))
+    return Polyglot(Session(gpu="GTX 1660 Super"))
 
 
 class TestArrayExpressions:

@@ -53,7 +53,7 @@ class TestBasics:
 class TestCoherenceMarks:
     def test_gpu_write_invalidates_host(self):
         a = DeviceArray(4)
-        a.mark_gpu_write()
+        a.mark_write()
         assert a.state is CoherenceState.DEVICE_ONLY
         assert a.stale_host_bytes() > 0
 
@@ -61,29 +61,29 @@ class TestCoherenceMarks:
         a = DeviceArray(4)
         a.mark_cpu_write()
         assert a.state is CoherenceState.HOST_ONLY
-        assert a.stale_device_bytes() == a.nbytes
+        assert a.migration_bytes() == a.nbytes
 
     def test_stale_bytes_zero_when_shared(self):
         a = DeviceArray(4)
-        assert a.stale_device_bytes() == 0
+        assert a.migration_bytes() == 0
         assert a.stale_host_bytes() == 0
 
     def test_stale_host_bytes_page_rounded(self):
         n = (3 * PAGE_SIZE_BYTES) // 4  # < 1 page of float32s
         a = DeviceArray(n, dtype=np.uint8)
-        a.mark_gpu_write()
+        a.mark_write()
         # Touch 1 byte: one page migrates, capped at the array size.
         assert a.stale_host_bytes(1) == min(a.nbytes, PAGE_SIZE_BYTES)
 
     def test_stale_host_bytes_multi_page(self):
         a = DeviceArray(3 * PAGE_SIZE_BYTES, dtype=np.uint8)
-        a.mark_gpu_write()
+        a.mark_write()
         assert a.stale_host_bytes(PAGE_SIZE_BYTES + 1) == 2 * PAGE_SIZE_BYTES
 
     def test_gpu_read_after_cpu_write_shares(self):
         a = DeviceArray(4)
         a.mark_cpu_write()
-        a.mark_gpu_read()
+        a.mark_read()
         assert a.state is CoherenceState.SHARED
 
 

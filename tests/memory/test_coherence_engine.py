@@ -133,7 +133,7 @@ class TestCpuWriteInvalidation:
         engine = make_engine()
         coherence = CoherenceEngine(engine)
         x = DeviceArray(4 * PAGE_SIZE_BYTES, dtype=np.uint8, name="x")
-        x.mark_gpu_write()  # host copy stale
+        x.mark_write()  # host copy stale
         coherence.cpu_access(x, AccessKind.WRITE, 8)
         dtoh = [
             r for r in engine.timeline.transfers()
@@ -147,7 +147,7 @@ class TestCpuWriteInvalidation:
         engine = make_engine()
         coherence = CoherenceEngine(engine)
         x = DeviceArray(1 << 20, name="x")
-        x.mark_gpu_write()
+        x.mark_write()
         coherence.cpu_access(x, AccessKind.WRITE, x.nbytes)
         assert engine.timeline.transfers() == []
         assert x.state is CoherenceState.HOST_ONLY
@@ -206,7 +206,7 @@ class TestCpuWriteInvalidation:
         engine = make_engine()
         coherence = CoherenceEngine(engine)
         x = DeviceArray(1 << 20, name="x")
-        x.mark_gpu_write()
+        x.mark_write()
         coherence.cpu_access(x, AccessKind.READ_WRITE, 64)
         assert x.state is CoherenceState.HOST_ONLY
 
@@ -406,7 +406,7 @@ class TestSubmissionWindow:
         coherence.release(plan, op)
         engine.submit(s, op)
         y = DeviceArray(1 << 20, name="y")
-        y.mark_gpu_write()
+        y.mark_write()
         # Host readback of an unrelated array closes the window first
         # (and its internal sync would deadlock otherwise).
         coherence.cpu_access(y, AccessKind.READ, y.nbytes)
@@ -487,7 +487,7 @@ class TestHostReadback:
         engine = make_engine()
         coherence = CoherenceEngine(engine)
         x = DeviceArray(1 << 20, name="x")
-        x.mark_gpu_write()
+        x.mark_write()
         op = coherence.cpu_access(x, AccessKind.READ, x.nbytes)
         assert op is not None
         assert op.direction is TransferDirection.DEVICE_TO_HOST

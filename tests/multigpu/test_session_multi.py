@@ -74,9 +74,7 @@ class TestPolyglotTransparency:
 
 class TestWorkloadsOnFleet:
     """The six suite workloads run unchanged on a 2-GPU session with
-    results identical to single-GPU execution (and therefore to the
-    pre-refactor MultiGpuScheduler, which shared the single-GPU
-    kernels)."""
+    results identical to single-GPU execution."""
 
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
     def test_results_match_single_gpu(self, name):
@@ -136,8 +134,8 @@ def d2d_bytes(sess) -> float:
 
 class TestFleetMovementPolicies:
     def test_page_fault_issues_no_peer_mirrors(self):
-        """Regression: ``acquire_multi`` must respect PAGE_FAULT — the
-        old path mirrored eagerly whatever the policy said."""
+        """Regression: a multi-GPU acquire must respect PAGE_FAULT —
+        the old path mirrored eagerly whatever the policy said."""
         fault = chain_session(MovementPolicy.PAGE_FAULT)
         assert d2d_bytes(fault) == 0.0
         m = fault.metrics()
@@ -263,8 +261,8 @@ class TestCompletionAppliedTransitions:
         assert committed_after_submit == set()
         assert host_after_submit
         # The planned overlay already sees the in-flight write.
-        assert sess.context.coherence.multi_resident(a, 0)
-        assert not sess.context.coherence.multi_host_valid(a)
+        assert sess.context.coherence.device_valid(a, 0)
+        assert not sess.context.coherence.host_valid(a)
         sess.sync()
         assert a.valid_on == {0}
         assert not a.host_valid

@@ -109,8 +109,6 @@ class TestTopologySpec:
     def test_legacy_spec_list_still_means_one_gpu_slots(self):
         fleet = GpuFleet(["GTX 1660 Super", "GTX 1660 Super"])
         assert fleet.topology == [1, 1]
-        # And the pre-topology alias keeps working.
-        assert fleet.devices is fleet.slots
 
 
 class TestHeterogeneousFleetResults:

@@ -295,7 +295,7 @@ class TestServiceMechanics:
         service = make_service(fleet_size=1)
         submit_mixed(service, ["a"], 9)
         report = service.run()
-        device = report.fleet.devices[0]
+        device = report.fleet.slots[0]
         # default + replay pool (bounded by batch_max * plan streams),
         # not O(requests * streams-per-request).
         assert len(device.engine.streams) < 20
