@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.errors import DataRaceError
 from repro.gpusim.timeline import IntervalKind, Timeline, TimelineRecord
+from repro.memory.coherence import HOST
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,18 @@ def _conflict(a: TimelineRecord, b: TimelineRecord) -> tuple[str, ...]:
     if not conflicting:
         return ()
     names = {**a.meta.get("array_names", {}), **b.meta.get("array_names", {})}
-    return tuple(sorted(names.get(x, f"array@{x:#x}") for x in conflicting))
+    return tuple(sorted(_copy_label(names, x) for x in conflicting))
+
+
+def _copy_label(names: dict, token) -> str:
+    """Display name of one token; per-copy ``(array, location)`` tokens
+    (see :func:`repro.memory.coherence.stamp_access_tokens`) name the
+    copy too."""
+    if not isinstance(token, tuple):
+        return names.get(token, f"array@{token:#x}")
+    array_id, where = token
+    name = names.get(token, f"array@{array_id:#x}")
+    return f"{name}@{'host' if where == HOST else f'gpu{where}'}"
 
 
 def find_races(timeline: Timeline) -> list[Race]:

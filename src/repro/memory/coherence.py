@@ -178,11 +178,11 @@ def stamp_access_tokens(op: Operation, reads, writes) -> None:
     are each ``(arrays, location)``.  Tokens are per *copy*, ``(array,
     location)``, so a peer copy reading GPU 0's replica does not
     conflict with a kernel also reading it, but does conflict with
-    anything touching the destination replica."""
+    anything touching the destination replica.  ``array_names`` maps
+    each token to its array's name."""
     names = {}
     for key, (arrays, where) in (("reads", reads), ("writes", writes)):
-        suffix = "@host" if where == HOST else f"@gpu{where}"
-        copies = {(id(a), where): a.name + suffix for a in arrays}
+        copies = {(id(a), where): a.name for a in arrays}
         op.info[key] = frozenset(copies)
         names.update(copies)
     op.info["array_names"] = names

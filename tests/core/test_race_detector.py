@@ -104,6 +104,21 @@ class TestCheckNoRaces:
         check_no_races(tl)
 
 
+class TestPerCopyTokens:
+    def test_race_names_the_conflicting_copy(self):
+        def rec(label, start, end, **sets):
+            record = krec(label, start, end, **sets)
+            record.meta["array_names"] = {(7, 1): "a", (7, -1): "a"}
+            return record
+
+        tl = timeline(
+            rec("k", 0, 2, writes=[(7, 1)]),
+            rec("DtoH", 1, 3, reads=[(7, 1)], writes=[(7, -1)]),
+        )
+        [race] = find_races(tl)
+        assert race.array_names == ("a@gpu1",)
+
+
 class TestReadbackTokens:
     """Host readbacks carry per-copy tokens at every device count, so
     the detector sees a readback racing a writer of its source copy."""
