@@ -8,8 +8,10 @@ a :class:`~repro.cluster.network.ClusterNetwork` whose host-to-host
 links price cross-node input staging and result readback on the same
 virtual timeline the intra-node simulators advance.
 
-Tenant requests are admitted **once, globally** (the cluster's own
-admission queue), placed on nodes by the
+Tenant requests are admitted **once, globally** — the cluster is a
+:class:`~repro.serve.pool.Pool` of nodes, running the same admission,
+outage, retry and drop code its node services run over their slots —
+placed on nodes by the
 :class:`~repro.cluster.scheduler.ClusterScheduler`, then flow through
 the untouched single-node machinery: service-level slot placement,
 batching, capture replay, in-slot device placement.  Placement runs in
@@ -25,8 +27,9 @@ DEGRADE is translated into per-slot specs for that node's local plan
 DRAIN stops cluster placements while local work finishes, and a
 TRANSFER_FAULT is consumed at *cluster* placement — the failed staging
 attempt burns link time before the re-stage.  Work a downed node shed
-or failed re-enters the global queue with exponential backoff and lands
-on survivors, so every submission still reaches a terminal status.
+or failed re-enters the global queue under the pool's retry rule and
+lands on survivors, so every submission still reaches a terminal
+status.
 
 Correctness invariant (same as single-node serving, enforced by the
 cluster tests): every COMPLETED request's outputs are bit-identical to
@@ -36,9 +39,9 @@ executing its graph alone on a private serial runtime.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 
+from repro.core.policies import coerce_enum
 from repro.errors import ConfigError
 from repro.faults import FaultKind, FaultPlan, FaultSpec, SlotLifecycle
 from repro.gpusim.specs import GPUSpec
@@ -50,8 +53,8 @@ from repro.cluster.scheduler import (
     ClusterPlacementPolicy,
     ClusterScheduler,
 )
-from repro.serve.admission import make_queue
 from repro.serve.fleet import parse_fleet_spec
+from repro.serve.pool import Pool
 from repro.serve.request import (
     GraphRequest,
     GraphResult,
@@ -128,7 +131,7 @@ class ClusterConfig:
     serve: ServeConfig = field(default_factory=ServeConfig)
 
     def __post_init__(self) -> None:
-        self.policy = ClusterPlacementPolicy.coerce(self.policy)
+        self.policy = coerce_enum(self.policy, ClusterPlacementPolicy)
         if isinstance(self.faults, str):
             self.faults = FaultPlan.parse(self.faults)
         if self.faults is not None and self.faults.slot_scoped():
@@ -197,14 +200,6 @@ class ClusterNode:
     @property
     def admitting(self) -> bool:
         return self.lifecycle.admitting
-
-    def advance_lifecycle(self, now: float):
-        """Advance the node lifecycle monotonically: a node that has
-        simulated to its own clock has experienced every event up to
-        it, and lifecycles never rewind."""
-        return self.lifecycle.advance(
-            max(now, self.lifecycle.now, self.clock)
-        )
 
     def warm_for(self, graph: TaskGraph) -> bool:
         """Whether this node's capture cache already holds a plan for
@@ -287,8 +282,18 @@ class ClusterReport:
         return "\n".join(lines)
 
 
-class Cluster:
-    """N serving nodes behind one global admission queue."""
+class Cluster(Pool):
+    """N serving nodes behind one global admission queue: a
+    :class:`~repro.serve.pool.Pool` whose members are nodes."""
+
+    TRACK = "cluster"
+    KEY = "node"
+    FAULT_INSTANT = "node-fault"
+    RETRY_INSTANT = "replace"
+    INJECTED = "cluster.node_faults_injected"
+    RETRIES = "cluster.replacements"
+    SHED = "cluster.shed"
+    QUEUE_PEAK = "cluster.queue_depth_peak"
 
     def __init__(
         self,
@@ -298,98 +303,53 @@ class Cluster:
         config: ClusterConfig | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        self.config = config or ClusterConfig()
+        self.config = config = config or ClusterConfig()
         if isinstance(topologies, str):
             topologies = parse_cluster_spec(topologies)
         if not topologies:
             raise ConfigError("a cluster needs at least one node")
-        if self.config.faults is not None:
-            top = self.config.faults.max_node()
+        if config.faults is not None:
+            top = config.faults.max_node()
             if top >= len(topologies):
                 raise ConfigError(
                     f"fault plan targets node {top} but the cluster has"
                     f" only {len(topologies)} node(s)"
                 )
-        self.tracer = current_tracer() if tracer is None else tracer
-        self.counters = CounterRegistry()
-        self.network = ClusterNetwork(
-            self.config.interconnect, counters=self.counters
-        )
-        self.scheduler = ClusterScheduler(
-            self.config.policy, pack_per_gpu=self.config.pack_per_gpu
-        )
+        tracer = current_tracer() if tracer is None else tracer
         self.nodes = [
-            ClusterNode(i, topo, gpu, self.config, self.tracer)
+            ClusterNode(i, topo, gpu, config, tracer)
             for i, topo in enumerate(topologies)
         ]
-        self.queue = make_queue(self.config.serve.admission)
-        self.results: list[GraphResult] = []
-        #: cluster-owned request-id allocation (node services never
-        #: allocate — they receive whole request objects), so
-        #: concurrent clusters/services cannot interleave ids
-        self._request_ids = itertools.count(1)
+        super().__init__(
+            self.nodes,
+            admission=config.serve.admission,
+            faults=config.faults,
+            max_retries=config.serve.max_retries,
+            retry_backoff_us=config.serve.retry_backoff_us,
+            tracer=tracer,
+        )
+        self._inner_pools = [node.service for node in self.nodes]
+        self.network = ClusterNetwork(
+            config.interconnect, counters=self.counters
+        )
+        self.scheduler = ClusterScheduler(
+            config.policy, pack_per_gpu=config.pack_per_gpu
+        )
         #: every request the cluster admitted, by id (re-placement and
         #: readback need the graph back from a result)
         self._requests: dict[int, GraphRequest] = {}
-        #: terminal record per request id; re-placements overwrite
-        self._final: dict[int, GraphResult] = {}
-        self._priorities: dict[str, int] = {}
-        self._now = 0.0
-        self._injected: set[int] = set()
+        #: completed results whose readback is not priced yet
+        self._unread: list[GraphResult] = []
         self._c_placements = self.counters.counter("cluster.placements")
-        self._c_replacements = self.counters.counter(
-            "cluster.replacements"
-        )
         self._c_net_retries = self.counters.counter(
             "cluster.net_retries"
         )
-        self._c_shed = self.counters.counter("cluster.shed")
+        for name in (self.RETRIES, self.SHED):
+            self.counters.counter(name)
 
-    # -- tenant/submission API ---------------------------------------------
-
-    def register_tenant(self, name: str, priority: int = 0) -> None:
-        self._priorities[name] = priority
-
-    def submit(
-        self,
-        tenant: str,
-        graph: TaskGraph,
-        priority: int | None = None,
-        arrival_time: float = 0.0,
-        deadline: float | None = None,
-    ) -> int:
-        """Admit one task graph globally; returns the request id."""
-        if deadline is not None and deadline < arrival_time:
-            raise ValueError(
-                f"deadline {deadline:g} precedes arrival {arrival_time:g}"
-            )
-        request = GraphRequest(
-            request_id=next(self._request_ids),
-            tenant=tenant,
-            graph=graph,
-            priority=(
-                self._priorities.get(tenant, 0)
-                if priority is None
-                else priority
-            ),
-            arrival_time=arrival_time,
-            deadline=deadline,
-        )
+    def enqueue(self, request: GraphRequest) -> int:
         self._requests[request.request_id] = request
-        self.queue.push(request)
-        self.counters.set_max(
-            "cluster.queue_depth_peak", len(self.queue)
-        )
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "admit",
-                track="cluster",
-                vt=arrival_time,
-                tenant=tenant,
-                request=request.request_id,
-                queue_depth=len(self.queue),
-            )
-        return request.request_id
+        return super().enqueue(request)
 
     # -- the cluster loop ---------------------------------------------------
 
@@ -404,54 +364,16 @@ class Cluster:
             self._readback()
             # Final advance so every injected node fault is counted
             # even if it struck after the queue drained.
-            for node in self.nodes:
-                made = node.advance_lifecycle(self._now)
-                self._count_node_transitions(node, made)
+            self._advance_all(self._now)
             return self.report()
         finally:
             self.close()
 
-    def close(self) -> None:
-        """Release every node service's execution-strategy resources
-        (worker processes under ``serve.parallel="process"``);
-        idempotent."""
-        for node in self.nodes:
-            node.service.close()
-
     def _placement_round(self) -> None:
         """Pop every queued request in admission order, stage its inputs
         over the network and enqueue it on the chosen node."""
-        while len(self.queue):
-            head = self.queue.pop()
-            assert head is not None
-            now = max(self._now, head.dispatch_floor)
-            for node in self.nodes:
-                made = node.advance_lifecycle(now)
-                self._count_node_transitions(node, made)
-            eligible = [n for n in self.nodes if n.admitting]
-            if not eligible:
-                revive = self._earliest_revival(now)
-                if revive is None:
-                    # Permanent cluster-wide outage: shed the head and
-                    # everything still queued instead of deadlocking.
-                    self._record_dropped(head, now, RequestStatus.SHED)
-                    while len(self.queue):
-                        r = self.queue.pop()
-                        assert r is not None
-                        self._record_dropped(
-                            r, now, RequestStatus.SHED
-                        )
-                    return
-                now = max(now, revive)
-                for node in self.nodes:
-                    made = node.advance_lifecycle(now)
-                    self._count_node_transitions(node, made)
-                eligible = [n for n in self.nodes if n.admitting]
-                assert eligible, "revived node must admit"
-            self._now = now
-            if head.deadline is not None and now > head.deadline:
-                self._record_dropped(head, now, RequestStatus.TIMEOUT)
-                continue
+        for head, eligible in self._admit_heads():
+            now = self._now
             node = self.scheduler.place(head, eligible)
             self._c_placements.value += 1
             staged = self._stage(node, head, now)
@@ -498,65 +420,31 @@ class Cluster:
             node.service.drain()
             fresh = node.service.results[node.result_cursor:]
             node.result_cursor = len(node.service.results)
-            made = node.advance_lifecycle(self._now)
-            self._count_node_transitions(node, made)
+            self._advance(node, self._now)
             for result in fresh:
                 result.node_index = node.index
                 if (
                     result.status
                     in (RequestStatus.SHED, RequestStatus.FAILED)
                     and not node.admitting
-                    and self._replace(result, node)
                 ):
-                    continue
-                self._final[result.request_id] = result
-
-    def _replace(
-        self, result: GraphResult, node: ClusterNode
-    ) -> bool:
-        """Re-queue a request its (now non-admitting) node could not
-        serve; False once its retry budget is exhausted (the node's
-        terminal record stands)."""
-        request = self._requests[result.request_id]
-        request.attempts += 1
-        if request.attempts > self.config.serve.max_retries:
-            return False
-        backoff = (
-            self.config.serve.retry_backoff_us
-            * 1e-6
-            * (2 ** (request.attempts - 1))
-        )
-        request.not_before = max(
-            request.not_before, result.finish_time + backoff
-        )
-        request.last_slot = None
-        self._c_replacements.value += 1
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "replace",
-                track="cluster",
-                vt=result.finish_time,
-                tenant=request.tenant,
-                request=request.request_id,
-                node=node.index,
-                attempt=request.attempts,
-            )
-        self.queue.push(request)
-        return True
+                    # Re-place it on a survivor; once the retries are
+                    # exhausted the node's terminal record stands.
+                    request = self._requests[result.request_id]
+                    request.last_slot = None
+                    if self._requeue(request, node, result.finish_time):
+                        continue
+                self.results.append(result)
+                if result.status is RequestStatus.COMPLETED:
+                    self._unread.append(result)
 
     def _readback(self) -> None:
-        """Price every completed request's result readback over the
-        network, in deterministic (finish, id) order; a readback that
-        lands past the deadline turns the request TIMEOUT."""
-        completed = sorted(
-            (
-                r
-                for r in self._final.values()
-                if r.status is RequestStatus.COMPLETED
-            ),
-            key=lambda r: (r.finish_time, r.request_id),
-        )
-        for result in completed:
+        """Price the readback of every result completed since the last
+        run over the network, in deterministic (finish, id) order; a
+        readback that lands past the deadline turns the request
+        TIMEOUT."""
+        self._unread.sort(key=lambda r: (r.finish_time, r.request_id))
+        for result in self._unread:
             request = self._requests[result.request_id]
             done = self.network.transfer(
                 result.node_index,
@@ -568,68 +456,7 @@ class Cluster:
             if request.deadline is not None and done > request.deadline:
                 result.status = RequestStatus.TIMEOUT
                 result.outputs = {}
-
-    # -- fault plumbing -----------------------------------------------------
-
-    def _earliest_revival(self, now: float) -> float | None:
-        times = [
-            t
-            for n in self.nodes
-            if (t := n.lifecycle.earliest_admit(now)) is not None
-        ]
-        return min(times) if times else None
-
-    def _count_node_transitions(
-        self, node: ClusterNode, made
-    ) -> None:
-        for t in made:
-            if id(t.spec) not in self._injected:
-                self._injected.add(id(t.spec))
-                self.counters.counter(
-                    "cluster.node_faults_injected"
-                ).value += 1
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "node-fault",
-                    track="cluster",
-                    vt=t.time,
-                    node=node.index,
-                    kind=t.spec.kind.value,
-                    before=t.before.value,
-                    after=t.after.value,
-                )
-
-    def _record_dropped(
-        self, request: GraphRequest, now: float, status: RequestStatus
-    ) -> None:
-        """Terminal cluster-level drop: the request never reached (or
-        never again reaches) a node."""
-        if status is RequestStatus.SHED:
-            self._c_shed.value += 1
-        if self.tracer.enabled:
-            self.tracer.instant(
-                status.value,
-                track="cluster",
-                vt=now,
-                tenant=request.tenant,
-                request=request.request_id,
-            )
-        self._final[request.request_id] = GraphResult(
-            request_id=request.request_id,
-            tenant=request.tenant,
-            graph_name=request.graph.name,
-            outputs={},
-            arrival_time=request.arrival_time,
-            start_time=now,
-            finish_time=now,
-            device_index=-1,
-            batch_id=0,
-            batch_size=1,
-            replayed=False,
-            status=status,
-            attempts=request.attempts,
-            node_index=-1,
-        )
+        self._unread.clear()
 
     # -- reporting ----------------------------------------------------------
 
@@ -652,11 +479,9 @@ class Cluster:
         return merged.snapshot()
 
     def report(self) -> ClusterReport:
-        if not self._final:
+        if not self.results:
             raise ValueError("no served requests to report on")
-        self.results = sorted(
-            self._final.values(), key=lambda r: r.request_id
-        )
+        self.results.sort(key=lambda r: r.request_id)
         per_node: dict[int, ServiceReport] = {
             node.index: node.service.report()
             for node in self.nodes
@@ -669,7 +494,9 @@ class Cluster:
                 for node in self.nodes
                 for slot in node.fleet.slots
             ],
-            batches=sum(n.service._batches for n in self.nodes),
+            batches=sum(
+                n.service.counters.get("serve.batches") for n in self.nodes
+            ),
             capture_hits=sum(
                 n.service.cache.hits for n in self.nodes
             ),

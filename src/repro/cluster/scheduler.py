@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Sequence
 
+from repro.core.policies import coerce_enum
 from repro.errors import ConfigError
 from repro.serve.request import GraphRequest
 
@@ -43,20 +44,6 @@ class ClusterPlacementPolicy(enum.Enum):
     BIN_PACK = "bin-pack"
     SPREAD = "spread"
     AFFINITY = "affinity"
-
-    @classmethod
-    def coerce(
-        cls, value: "ClusterPlacementPolicy | str"
-    ) -> "ClusterPlacementPolicy":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise ConfigError(
-                f"unknown cluster policy {value!r}; choose from"
-                f" {[p.value for p in cls]}"
-            ) from None
 
 
 class ClusterScheduler:
@@ -75,7 +62,7 @@ class ClusterScheduler:
         ),
         pack_per_gpu: int = 8,
     ) -> None:
-        self.policy = ClusterPlacementPolicy.coerce(policy)
+        self.policy = coerce_enum(policy, ClusterPlacementPolicy)
         if pack_per_gpu <= 0:
             raise ConfigError(
                 f"pack_per_gpu must be positive, got {pack_per_gpu}"

@@ -43,6 +43,21 @@ from repro.gpusim.specs import GPUSpec
 from repro.memory.coherence import MovementPolicy
 
 
+def coerce_enum(value, enum_cls: type[enum.Enum]):
+    """``value`` as a member of ``enum_cls``: a member passes through,
+    a string matches a member's value or (case-insensitively) its name.
+    Anything else raises :class:`~repro.errors.ConfigError`."""
+    if isinstance(value, enum_cls):
+        return value
+    for member in enum_cls:
+        if member.value == value or member.name.lower() == str(value).lower():
+            return member
+    raise ConfigError(
+        f"unknown {enum_cls.__name__} {value!r}; choose from"
+        f" {[m.value for m in enum_cls]}"
+    )
+
+
 class ExecutionPolicy(enum.Enum):
     SERIAL = "sync"       # original GrCUDA: serial & synchronous
     PARALLEL = "async"    # this paper: parallel & asynchronous

@@ -15,37 +15,23 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from repro.cluster import (
     Cluster,
     ClusterConfig,
     ClusterReport,
     parse_cluster_spec,
 )
+from repro.core.policies import coerce_enum
 from repro.faults import FaultPlan
+from repro.harness.serving import _check_results, _submit_traffic
 from repro.multigpu.scheduler import DevicePlacementPolicy
 from repro.obs.export import write_chrome_trace
 from repro.obs.trace import Tracer
 from repro.serve.admission import AdmissionPolicy
-from repro.serve.request import execute_serial
 from repro.serve.service import ServeConfig
-from repro.serve.workloads import traffic_mix_graphs
 
 #: default Chrome-trace artifact path when ``--trace`` is given bare
 DEFAULT_TRACE_PATH = "TRACE_cluster.json"
-
-
-def _coerce(value, enum_cls):
-    if isinstance(value, enum_cls):
-        return value
-    for member in enum_cls:
-        if member.value == value or member.name.lower() == str(value).lower():
-            return member
-    raise ValueError(
-        f"unknown {enum_cls.__name__} {value!r}; choose from"
-        f" {[m.value for m in enum_cls]}"
-    )
 
 
 def cluster_report_summary(report: ClusterReport) -> dict:
@@ -148,8 +134,8 @@ def cluster_bench(
         raise ValueError("runs must be positive")
     if faults is not None and fault_seed is not None:
         raise ValueError("pass either faults or fault_seed, not both")
-    admission = _coerce(admission, AdmissionPolicy)
-    placement = _coerce(placement, DevicePlacementPolicy)
+    admission = coerce_enum(admission, AdmissionPolicy)
+    placement = coerce_enum(placement, DevicePlacementPolicy)
     topologies = (
         parse_cluster_spec(cluster)
         if isinstance(cluster, str)
@@ -180,31 +166,15 @@ def cluster_bench(
             ),
             tracer=tracer,
         )
-        for t in range(tenants):
-            c.register_tenant(f"tenant{t}", priority=tenants - 1 - t)
-        graphs = traffic_mix_graphs(requests, mix=traffic, seed=seed)
-        rng = np.random.default_rng(seed)
-        arrival = 0.0
-        submitted = []
-        for i, graph in enumerate(graphs):
-            arrival += float(
-                rng.exponential(mean_interarrival_us * 1e-6)
-            )
-            submitted.append(
-                (
-                    c.submit(
-                        f"tenant{i % tenants}",
-                        graph,
-                        arrival_time=arrival,
-                        deadline=(
-                            arrival + deadline_us * 1e-6
-                            if deadline_us is not None
-                            else None
-                        ),
-                    ),
-                    graph,
-                )
-            )
+        submitted = _submit_traffic(
+            c,
+            tenants=tenants,
+            requests=requests,
+            traffic=traffic,
+            seed=seed,
+            mean_interarrival_us=mean_interarrival_us,
+            deadline_us=deadline_us,
+        )
         return c.run(), submitted
 
     report, submitted = one_run()
@@ -218,29 +188,7 @@ def cluster_bench(
                 f" {fingerprint[:16]} != {other[:16]}"
             )
         report = replay
-
-    # The no-hang invariant: every submission reached a terminal status.
-    by_id = {r.request_id: r for r in report.results}
-    missing = [rid for rid, _ in submitted if rid not in by_id]
-    if missing:
-        raise AssertionError(
-            f"{len(missing)} request(s) never reached a terminal"
-            f" status: {missing[:10]}"
-        )
-
-    if validate:
-        for request_id, graph in submitted:
-            result = by_id[request_id]
-            if not result.ok:
-                continue
-            reference = execute_serial(graph, gpu=gpu)
-            for name, expected in reference.items():
-                got = result.outputs[name]
-                if not np.array_equal(got, expected):
-                    raise AssertionError(
-                        f"request {request_id} ({graph.name}) output"
-                        f" {name!r} diverges from serial execution"
-                    )
+    validated = _check_results(report, submitted, gpu=gpu, validate=validate)
 
     if bench_out:
         summary = cluster_report_summary(report)
@@ -281,17 +229,8 @@ def cluster_bench(
             f"\ndeterministic: {runs} run(s) fingerprint-equal"
             f" ({fingerprint[:16]}...)"
         )
-        if validate:
-            done = sum(1 for r in report.results if r.ok)
-            print(
-                f"validated: all {done} completed requests match"
-                " serial single-runtime execution"
-                + (
-                    f" ({len(submitted) - done} shed/timed-out/failed)"
-                    if done < len(submitted)
-                    else ""
-                )
-            )
+        if validated:
+            print(validated)
         if bench_out:
             print(f"wrote {bench_out}")
         if trace_path:

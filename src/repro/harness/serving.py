@@ -21,30 +21,20 @@ import json
 
 import numpy as np
 
+from repro.core.policies import coerce_enum
 from repro.faults import FaultPlan
 from repro.multigpu.scheduler import DevicePlacementPolicy
 from repro.obs.export import write_chrome_trace
 from repro.obs.trace import Tracer
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.fleet import parse_fleet_spec
+from repro.serve.pool import Pool
 from repro.serve.request import execute_serial
 from repro.serve.service import SchedulerService, ServeConfig, ServiceReport
 from repro.serve.workloads import traffic_mix_graphs
 
 #: default Chrome-trace artifact path when ``--trace`` is given bare
 DEFAULT_TRACE_PATH = "TRACE_serving.json"
-
-
-def _coerce(value, enum_cls):
-    if isinstance(value, enum_cls):
-        return value
-    for member in enum_cls:
-        if member.value == value or member.name.lower() == str(value).lower():
-            return member
-    raise ValueError(
-        f"unknown {enum_cls.__name__} {value!r}; choose from"
-        f" {[m.value for m in enum_cls]}"
-    )
 
 
 def report_summary(report: ServiceReport) -> dict:
@@ -113,7 +103,7 @@ def report_summary(report: ServiceReport) -> dict:
 
 
 def _submit_traffic(
-    service: SchedulerService,
+    system: Pool,
     *,
     tenants: int,
     requests: int,
@@ -122,15 +112,16 @@ def _submit_traffic(
     mean_interarrival_us: float,
     deadline_us: float | None = None,
 ) -> list[tuple[int, object]]:
-    """Register ``tenants`` clients and submit the standard serving
-    traffic: the named mix under seeded Poisson arrivals.  Returns the
-    ``(request_id, graph)`` pairs in submission order — the shared
-    arrival process of serve-bench, chaos-grid and parallel-bench.
+    """Register ``tenants`` clients on a service or cluster and submit
+    the standard serving traffic: the named mix under seeded Poisson
+    arrivals.  Returns the ``(request_id, graph)`` pairs in submission
+    order — the shared arrival process of serve-bench (single fleet and
+    cluster), chaos-grid and parallel-bench.
     """
     # Tenants with descending priorities: under the priority policy
     # tenant0 is the premium client, the rest queue behind it.
     for t in range(tenants):
-        service.register_tenant(f"tenant{t}", priority=tenants - 1 - t)
+        system.register_tenant(f"tenant{t}", priority=tenants - 1 - t)
 
     graphs = traffic_mix_graphs(requests, mix=traffic, seed=seed)
     rng = np.random.default_rng(seed)
@@ -142,7 +133,7 @@ def _submit_traffic(
         )
         submitted.append(
             (
-                service.submit(
+                system.submit(
                     f"tenant{i % tenants}",
                     graph,
                     arrival_time=arrival,
@@ -156,6 +147,43 @@ def _submit_traffic(
             )
         )
     return submitted
+
+
+def _check_results(
+    report, submitted: list[tuple[int, object]], *, gpu: str, validate: bool
+) -> str:
+    """The no-hang invariant — every submission reached a terminal
+    status — and, with ``validate``, every completed request's outputs
+    equal to executing its graph alone on a private serial runtime
+    (shed / timed-out / failed requests delivered nothing to check).
+    Returns the line reporting the validation ("" without it)."""
+    by_id = {r.request_id: r for r in report.results}
+    missing = [rid for rid, _ in submitted if rid not in by_id]
+    if missing:
+        raise AssertionError(
+            f"{len(missing)} request(s) never reached a terminal"
+            f" status: {missing[:10]}"
+        )
+    if not validate:
+        return ""
+    for request_id, graph in submitted:
+        result = by_id[request_id]
+        if not result.ok:
+            continue
+        reference = execute_serial(graph, gpu=gpu)
+        for name, expected in reference.items():
+            if not np.array_equal(result.outputs[name], expected):
+                raise AssertionError(
+                    f"request {request_id} ({graph.name}) output"
+                    f" {name!r} diverges from serial execution"
+                )
+    done = sum(1 for r in report.results if r.ok)
+    skipped = len(submitted) - done
+    return (
+        f"validated: all {done} completed requests match serial"
+        " single-runtime execution"
+        + (f" ({skipped} shed/timed-out/failed)" if skipped else "")
+    )
 
 
 def serve_bench(
@@ -222,8 +250,8 @@ def serve_bench(
         raise ValueError("tenants, requests and fleet_size must be positive")
     if faults is not None and fault_seed is not None:
         raise ValueError("pass either faults or fault_seed, not both")
-    admission = _coerce(admission, AdmissionPolicy)
-    placement = _coerce(placement, DevicePlacementPolicy)
+    admission = coerce_enum(admission, AdmissionPolicy)
+    placement = coerce_enum(placement, DevicePlacementPolicy)
     # An unknown traffic mix raises inside traffic_mix_graphs below.
     if isinstance(fleet, str):
         fleet = parse_fleet_spec(fleet)
@@ -275,29 +303,7 @@ def serve_bench(
     )
 
     report = service.run()
-
-    # The no-hang invariant: every submission reached a terminal status.
-    by_id = {r.request_id: r for r in report.results}
-    missing = [rid for rid, _ in submitted if rid not in by_id]
-    if missing:
-        raise AssertionError(
-            f"{len(missing)} request(s) never reached a terminal"
-            f" status: {missing[:10]}"
-        )
-
-    if validate:
-        for request_id, graph in submitted:
-            result = by_id[request_id]
-            if not result.ok:
-                continue  # shed/timed-out/failed: nothing was delivered
-            reference = execute_serial(graph, gpu=gpu)
-            for name, expected in reference.items():
-                got = result.outputs[name]
-                if not np.array_equal(got, expected):
-                    raise AssertionError(
-                        f"request {request_id} ({graph.name}) output"
-                        f" {name!r} diverges from serial execution"
-                    )
+    validated = _check_results(report, submitted, gpu=gpu, validate=validate)
 
     if bench_out:
         summary = report_summary(report)
@@ -341,17 +347,8 @@ def serve_bench(
 
     if render:
         print(report.render())
-        if validate:
-            done = sum(1 for r in report.results if r.ok)
-            print(
-                f"\nvalidated: all {done} completed requests match"
-                " serial single-runtime execution"
-                + (
-                    f" ({len(submitted) - done} shed/timed-out/failed)"
-                    if done < len(submitted)
-                    else ""
-                )
-            )
+        if validated:
+            print("\n" + validated)
         if bench_out:
             print(f"wrote {bench_out}")
         if trace_path:

@@ -44,7 +44,6 @@ on a private serial runtime
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +54,7 @@ from repro.core.policies import (
     SchedulerConfig,
 )
 from repro.gpusim.timeline import Timeline
-from repro.faults import FaultKind, FaultPlan, Transition
+from repro.faults import FaultPlan
 from repro.metrics.service import ServiceMetrics, compute_service_metrics
 from repro.obs.counters import CounterRegistry
 from repro.obs.trace import Tracer, current_tracer
@@ -65,14 +64,13 @@ from repro.parallel.strategy import (
     make_strategy,
 )
 from repro.parallel.work import SlotOutcome, SlotWork
-from repro.serve.admission import make_queue
 from repro.serve.capture import CaptureCache
 from repro.serve.fleet import FleetSlot, GpuFleet, parse_fleet_spec
+from repro.serve.pool import Pool
 from repro.serve.request import (
     GraphRequest,
     GraphResult,
     RequestStatus,
-    TaskGraph,
 )
 from repro.serve.tenant import TenantState
 
@@ -284,9 +282,19 @@ class ServiceReport:
         return "\n".join(lines)
 
 
-class SchedulerService:
+class SchedulerService(Pool):
     """Accepts task-graph submissions from many tenants and serves them
-    from a simulated GPU fleet."""
+    from a simulated GPU fleet: a :class:`~repro.serve.pool.Pool` whose
+    members are the fleet's slots."""
+
+    TRACK = "service"
+    KEY = "slot"
+    FAULT_INSTANT = "fault"
+    RETRY_INSTANT = "retry"
+    INJECTED = "faults.injected"
+    RETRIES = "faults.retries"
+    SHED = "faults.shed"
+    QUEUE_PEAK = "serve.queue_depth_peak"
 
     def __init__(
         self,
@@ -298,7 +306,7 @@ class SchedulerService:
         config: ServeConfig | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        self.config = config or ServeConfig()
+        self.config = config = config or ServeConfig()
         explicit_tracer = tracer
         if tracer is None:
             # Adopt an externally-built fleet's tracer so slot engines
@@ -306,7 +314,6 @@ class SchedulerService:
             tracer = (
                 fleet.tracer if fleet is not None else current_tracer()
             )
-        self.tracer = tracer
         if fleet is None:
             if fleet_topology is not None:
                 topology = (
@@ -319,36 +326,24 @@ class SchedulerService:
             fleet = GpuFleet(
                 topology,
                 gpu=gpu,
-                policy=self.config.placement,
-                config=self.config.scheduler,
+                policy=config.placement,
+                config=config.scheduler,
                 tracer=explicit_tracer,
-                width_normalized=self.config.width_normalized,
+                width_normalized=config.width_normalized,
             )
         self.fleet = fleet
-        if self.config.faults is not None:
-            self.fleet.attach_faults(self.config.faults)
-        self.queue = make_queue(self.config.admission)
-        self.cache = CaptureCache(enabled=self.config.capture_cache)
-        self.tenants: dict[str, TenantState] = {}
-        self.results: list[GraphResult] = []
-        #: service-owned request-id allocation: concurrent services
-        #: (and forked workers) never interleave ids (the module-level
-        #: counter in :mod:`repro.serve.request` remains only for
-        #: directly-constructed requests)
-        self._request_ids = itertools.count(1)
-        self._batch_ids = itertools.count(1)
-        self._batches = 0
-        #: execution strategy, built lazily on first drain (services
-        #: constructed for introspection never pay for worker pools)
-        self._strategy: ExecutionStrategy | None = None
-        #: monotone virtual-time cursor of the serving loop's dispatch
-        #: decisions; drives fault-lifecycle advancement
-        self._now = 0.0
-        #: fault specs already counted as injected (a DRAIN makes two
-        #: transitions, a RESTART makes two more — each spec counts once)
-        self._injected: set[int] = set()
+        if config.faults is not None:
+            fleet.attach_faults(config.faults)
+        super().__init__(
+            fleet.slots,
+            admission=config.admission,
+            faults=config.faults,
+            max_retries=config.max_retries,
+            retry_backoff_us=config.retry_backoff_us,
+            tracer=tracer,
+        )
+        self.cache = CaptureCache(enabled=config.capture_cache)
         #: service-level counters (admission, batching, queue depth)
-        self.counters = CounterRegistry()
         self._c_admitted = self.counters.counter("serve.admitted")
         self._c_batches = self.counters.counter("serve.batches")
         self._c_batched_requests = self.counters.counter(
@@ -358,85 +353,14 @@ class SchedulerService:
         # fault-free run's counter snapshot stays bit-identical to the
         # pre-fault-subsystem output; with a plan they are registered
         # eagerly so every chaos snapshot carries all four keys.
-        if self.config.faults is not None:
-            for name in (
-                "faults.injected",
-                "faults.retries",
-                "faults.shed",
-                "faults.replacements",
-            ):
+        if config.faults is not None:
+            for name in (self.INJECTED, self.RETRIES, self.SHED):
                 self.counters.counter(name)
-
-    # -- tenant/submission API -------------------------------------------
-
-    def register_tenant(
-        self, name: str, priority: int = 0
-    ) -> TenantState:
-        state = self.tenants.get(name)
-        if state is None:
-            state = TenantState(name=name, priority=priority)
-            self.tenants[name] = state
-        else:
-            state.priority = priority
-        return state
-
-    def submit(
-        self,
-        tenant: str,
-        graph: TaskGraph,
-        priority: int | None = None,
-        arrival_time: float = 0.0,
-        deadline: float | None = None,
-    ) -> int:
-        """Queue one task graph for ``tenant``; returns the request id.
-
-        ``arrival_time`` is the virtual service time of the submission
-        (workload generators space these; 0 means "present at start").
-        ``deadline`` is an absolute virtual time by which the results
-        must be readable, else the request terminates TIMEOUT.
-        """
-        if deadline is not None and deadline < arrival_time:
-            raise ValueError(
-                f"deadline {deadline:g} precedes arrival {arrival_time:g}"
-            )
-        state = self.tenants.get(tenant) or self.register_tenant(tenant)
-        request = GraphRequest(
-            request_id=next(self._request_ids),
-            tenant=tenant,
-            graph=graph,
-            priority=state.priority if priority is None else priority,
-            arrival_time=arrival_time,
-            deadline=deadline,
-        )
-        return self.enqueue(request)
+            self.counters.counter("faults.replacements")
 
     def enqueue(self, request: GraphRequest) -> int:
-        """Queue an already-built :class:`GraphRequest`.
-
-        The cluster layer admits once globally and hands whole request
-        objects to the chosen node's service — attempts, backoff floor
-        and deadline travel with the request across nodes.
-        """
-        state = self.tenants.get(request.tenant)
-        if state is None:
-            state = self.register_tenant(
-                request.tenant, priority=request.priority
-            )
-        state.submitted += 1
-        self.queue.push(request)
         self._c_admitted.value += 1
-        self.counters.set_max("serve.queue_depth_peak", len(self.queue))
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "admit",
-                track="service",
-                vt=request.arrival_time,
-                tenant=request.tenant,
-                request=request.request_id,
-                priority=request.priority,
-                queue_depth=len(self.queue),
-            )
-        return request.request_id
+        return super().enqueue(request)
 
     # -- the serving loop ---------------------------------------------------
 
@@ -448,14 +372,6 @@ class SchedulerService:
             return self.report()
         finally:
             self.close()
-
-    def close(self) -> None:
-        """Release execution-strategy resources (worker processes /
-        thread pools); idempotent.  :meth:`run` calls this itself; use
-        it directly after driving :meth:`drain` by hand."""
-        if self._strategy is not None:
-            self._strategy.close()
-            self._strategy = None
 
     def _ensure_strategy(self) -> ExecutionStrategy:
         if self._strategy is None:
@@ -508,52 +424,8 @@ class SchedulerService:
         """
         works: list[SlotWork] = []
         busy: set[int] = set()
-        while True:
-            head = self.queue.peek()
-            if head is None:
-                break
-            if works:
-                if head.dispatch_floor > self._now:
-                    break
-                now = self._now
-            else:
-                now = max(self._now, head.dispatch_floor)
-            self._advance_lifecycles(now, busy=busy)
-            eligible = [
-                s
-                for s in self.fleet.admitting_slots()
-                if s.index not in busy
-            ]
-            if not eligible:
-                if busy:
-                    # Slots may revive (or free up) once the in-flight
-                    # round joins; revisit this head next round.
-                    break
-                revive = self._earliest_revival(now)
-                if revive is None:
-                    # Permanent total outage: graceful degradation
-                    # sheds the head and everything still queued.
-                    popped = self.queue.pop()
-                    assert popped is head
-                    self._record_dropped(head, now, RequestStatus.SHED)
-                    while len(self.queue):
-                        r = self.queue.pop()
-                        assert r is not None
-                        self._record_dropped(r, now, RequestStatus.SHED)
-                    break
-                # Total-but-transient outage: fast-forward to the first
-                # restart completion instead of busy-deadlocking.
-                now = max(now, revive)
-                self._advance_lifecycles(now)
-                eligible = self.fleet.admitting_slots()
-                assert eligible, "revived slot must admit"
-            self._now = now
-            popped = self.queue.pop()
-            assert popped is head
-            self._shed_to_watermark(now)
-            if head.deadline is not None and now > head.deadline:
-                self._record_dropped(head, now, RequestStatus.TIMEOUT)
-                continue
+        for head, eligible in self._admit_heads(busy):
+            now = self._now
             batch = [head]
             if self.config.batching:
                 key = head.topology_key
@@ -590,9 +462,8 @@ class SchedulerService:
         (derivation happens parent-side — workers never see the
         cache), and the dispatch-time fault draws (lifecycles are
         parent-owned state)."""
-        batch_id = next(self._batch_ids)
-        self._batches += 1
         self._c_batches.value += 1
+        batch_id = self._c_batches.value
         if len(batch) > 1:
             self._c_batched_requests.value += len(batch)
         plan = self.cache.lookup(batch[0].graph, slot.shape_key)
@@ -648,12 +519,7 @@ class SchedulerService:
                 slot.kernels_launched = outcome.kernels_launched
             if outcome.trace_events:
                 self.tracer.events.extend(outcome.trace_events)
-            crashed = False
-            if self.config.faults is not None:
-                made = slot.lifecycle.advance(
-                    max(finish, slot.lifecycle.now)
-                )
-                crashed = self._process_transitions(slot, made)
+            crashed = self._advance(slot, finish)
             for tenant, records in outcome.histories:
                 self.tenants[tenant].absorb_history(records)
             if crashed or work.transfer_fault:
@@ -661,9 +527,13 @@ class SchedulerService:
                 # arrived (transient transfer fault): the simulated
                 # time it burned stays on the timeline, the outputs are
                 # discarded and every member re-queues with backoff (or
-                # fails).
+                # fails once its retries are exhausted).
                 for r in work.batch:
-                    self._retry_or_fail(r, slot, finish)
+                    r.last_slot = slot.index
+                    if not self._requeue(r, slot, finish):
+                        self._record_dropped(
+                            r, finish, RequestStatus.FAILED
+                        )
             else:
                 requests = {r.request_id: r for r in work.batch}
                 for request_id, outputs, start, read_clock in (
@@ -701,62 +571,14 @@ class SchedulerService:
 
     # -- fault machinery ---------------------------------------------------
 
-    def _advance_lifecycles(
-        self, now: float, busy: "set[int] | frozenset" = frozenset()
-    ) -> None:
-        """Advance every slot's health machine to ``max(now, clock)``
-        — a slot that has simulated up to its own clock has experienced
-        every event up to it.  Slots in ``busy`` (dispatched earlier in
-        the round being planned) are skipped: they were already
-        advanced to this round's instant when planned, and their
-        post-batch events belong to the merge phase."""
-        if self.config.faults is None:
-            return
-        for slot in self.fleet.slots:
-            if slot.index in busy:
-                continue
-            made = slot.lifecycle.advance(max(now, slot.clock))
-            self._process_transitions(slot, made)
-
-    def _process_transitions(
-        self, slot: FleetSlot, made: list[Transition]
-    ) -> bool:
-        """Count injections, emit tracer instants and cold-restart
-        crashed slots; returns whether a CRASH was among them."""
-        crashed = False
-        for t in made:
-            if id(t.spec) not in self._injected:
-                self._injected.add(id(t.spec))
-                self.counters.counter("faults.injected").value += 1
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "fault",
-                    track="service",
-                    vt=t.time,
-                    slot=slot.index,
-                    kind=t.spec.kind.value,
-                    before=t.before.value,
-                    after=t.after.value,
-                )
-            if t.spec.kind is FaultKind.CRASH and t.before is not t.after:
-                crashed = True
-                # The slot's (simulated) host process died: built
-                # kernels and MIN_TRANSFER warmth die with it.
-                slot.cold_restart()
-                if self._strategy is not None:
-                    # Remote slot replicas (process strategy) mirror
-                    # the restart before the slot's next work unit.
-                    self._strategy.note_cold_restart(slot.index)
-        return crashed
-
-    def _earliest_revival(self, now: float) -> float | None:
-        """Earliest virtual time any slot could admit again, or None."""
-        times = [
-            t
-            for s in self.fleet.slots
-            if (t := s.lifecycle.earliest_admit(now)) is not None
-        ]
-        return min(times) if times else None
+    def _on_crash(self, slot: FleetSlot) -> None:
+        # The slot's (simulated) host process died: built kernels and
+        # MIN_TRANSFER warmth die with it.
+        slot.cold_restart()
+        if self._strategy is not None:
+            # Remote slot replicas (process strategy) mirror the
+            # restart before the slot's next work unit.
+            self._strategy.note_cold_restart(slot.index)
 
     def _shed_to_watermark(self, now: float) -> None:
         """Graceful degradation: below the healthy-capacity watermark,
@@ -775,69 +597,6 @@ class SchedulerService:
         for victim in self.queue.evict_lowest(excess):
             self._record_dropped(victim, now, RequestStatus.SHED)
 
-    def _record_dropped(
-        self, request: GraphRequest, now: float, status: RequestStatus
-    ) -> None:
-        """Terminal non-completed status for a request that never (or
-        never successfully) ran: SHED / TIMEOUT / FAILED."""
-        if status is RequestStatus.SHED:
-            self.counters.counter("faults.shed").value += 1
-        if self.tracer.enabled:
-            self.tracer.instant(
-                status.value,
-                track="service",
-                vt=now,
-                tenant=request.tenant,
-                request=request.request_id,
-            )
-        self.results.append(
-            GraphResult(
-                request_id=request.request_id,
-                tenant=request.tenant,
-                graph_name=request.graph.name,
-                outputs={},
-                arrival_time=request.arrival_time,
-                start_time=now,
-                finish_time=now,
-                device_index=-1,
-                batch_id=0,
-                batch_size=1,
-                replayed=False,
-                status=status,
-                attempts=request.attempts,
-            )
-        )
-
-    def _retry_or_fail(
-        self, request: GraphRequest, slot: FleetSlot, finish: float
-    ) -> None:
-        """A dispatch was lost to a fault: re-queue with exponential
-        backoff, or terminate FAILED once retries are exhausted."""
-        request.attempts += 1
-        request.last_slot = slot.index
-        if request.attempts > self.config.max_retries:
-            self._record_dropped(request, finish, RequestStatus.FAILED)
-            return
-        backoff = (
-            self.config.retry_backoff_us
-            * 1e-6
-            * (2 ** (request.attempts - 1))
-        )
-        request.not_before = finish + backoff
-        self.counters.counter("faults.retries").value += 1
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "retry",
-                track="service",
-                vt=finish,
-                tenant=request.tenant,
-                request=request.request_id,
-                attempt=request.attempts,
-                not_before=request.not_before,
-                slot=slot.index,
-            )
-        self.queue.push(request)
-
     def report(self) -> ServiceReport:
         if not self.results:
             raise ValueError("no completed requests to report on")
@@ -845,7 +604,7 @@ class SchedulerService:
         metrics = compute_service_metrics(
             self.results,
             [s.engine.timeline for s in self.fleet.slots],
-            batches=self._batches,
+            batches=self._c_batches.value,
             capture_hits=self.cache.hits,
             capture_misses=self.cache.misses,
         )

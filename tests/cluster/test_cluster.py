@@ -165,6 +165,28 @@ class TestClusterServing:
         )
 
 
+    def test_second_run_keeps_earlier_readbacks(self):
+        # Each result's readback is priced once: a second run() serves
+        # the new submissions without moving the earlier finish times.
+        cluster = Cluster([[1], [1]])
+        graphs = mixed_workload_graphs(4, seed=11)
+        for i, graph in enumerate(graphs[:2]):
+            cluster.submit("t0", graph, arrival_time=i * 3e-4)
+        first = {r.request_id: r.finish_time for r in cluster.run().results}
+        for i, graph in enumerate(graphs[2:], start=2):
+            cluster.submit("t0", graph, arrival_time=i * 3e-4)
+        report = cluster.run()
+        assert all(r.ok for r in report.results)
+        assert {
+            r.request_id: r.finish_time
+            for r in report.results
+            if r.request_id in first
+        } == first
+        assert report.counters["cluster.net_readback_bytes"] == sum(
+            g.output_bytes for g in graphs
+        )
+
+
 # -- placement policies ----------------------------------------------------
 
 
