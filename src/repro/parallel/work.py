@@ -158,9 +158,8 @@ def submit_context(
         sub.arrays[name] = rt.array(
             decl.shape, dtype=decl.dtype, name=name
         )
-    for name, decl in graph.arrays.items():
-        if decl.init is not None:
-            sub.arrays[name].copy_from_host(decl.init)
+    for name, data in graph.host_inputs().items():
+        sub.arrays[name].copy_from_host(data)
     for launch in graph.launches:
         kernel = slot.kernel_for(graph.kernel_by_name(launch.kernel))
         args = tuple(
@@ -214,14 +213,15 @@ def submit_replay(
     streams = slot.replay_streams(plan.stream_count, member=member)
     engine.charge_host_time(config.replay_overhead_us * 1e-6)
 
+    inputs = graph.host_inputs()
     for name, decl in graph.arrays.items():
         arr = managed_array(decl.shape, decl.dtype, rt.devices, name=name)
         rt.adopt_array(arr)  # freed with the batch
-        if decl.init is not None:
+        if name in inputs:
             # No hook installed: copy_from_host applies the host-write
             # transition itself; declare it to the engine so planned
             # overlays and pending migrations reset too.
-            arr.copy_from_host(decl.init)
+            arr.copy_from_host(inputs[name])
             coherence.cpu_access(arr, AccessKind.WRITE, arr.nbytes)
         sub.arrays[name] = arr
 

@@ -1,10 +1,10 @@
 """Task-graph submissions: what a tenant hands the serving layer.
 
 A :class:`TaskGraph` is a *declarative*, runtime-independent description
-of one client computation: the arrays it allocates (with optional host
-input data), the kernels it builds and the launches of its host program
-in program order.  It is exactly the information a GrCUDA host program
-conveys through the Fig. 4 API, reified as data so that the
+of one client computation: the arrays it allocates, how to produce
+their host inputs, the kernels it builds and the launches of its host
+program in program order.  It is exactly the information a GrCUDA host
+program conveys through the Fig. 4 API, reified as data so that the
 :class:`~repro.serve.service.SchedulerService` can queue it, batch it,
 price it and replay it — the per-request unit the serving layer
 multiplexes over the fleet.
@@ -72,7 +72,8 @@ class ArrayDecl:
     shape: tuple[int, ...] | int
     dtype: Any = np.float32
     #: host data copied in before the first launch (None -> zeros, the
-    #: fresh-UM default)
+    #: fresh-UM default); its data is read only by
+    #: :meth:`TaskGraph.host_inputs`
     init: np.ndarray | None = None
 
     @property
@@ -121,7 +122,14 @@ class LaunchDecl:
 
 @dataclass
 class TaskGraph:
-    """A complete, self-contained task-graph description."""
+    """A complete, self-contained task-graph description.
+
+    Host inputs are not held on the graph when it has a ``recipe``: a
+    small picklable callable that rebuilds ``{array name: ndarray}``
+    for *every* array, called once per dispatch by
+    :meth:`host_inputs`.  A queued graph then costs its declaration,
+    not its data; the arrays live only while the graph is in flight.
+    """
 
     name: str
     arrays: dict[str, ArrayDecl]
@@ -130,6 +138,9 @@ class TaskGraph:
     #: arrays read back to the host when the graph completes; defaults
     #: (in __post_init__) to every array some launch writes
     outputs: tuple[str, ...] = ()
+    #: rebuilds every array's host input on each call (None: the inputs
+    #: are the ``ArrayDecl.init`` values)
+    recipe: Callable[[], dict[str, np.ndarray]] | None = None
 
     def __post_init__(self) -> None:
         if not self.launches:
@@ -178,6 +189,19 @@ class TaskGraph:
                     written.add(name)
         return written
 
+    def host_inputs(self) -> dict[str, np.ndarray]:
+        """Fresh host inputs, in array order: every array for a recipe
+        graph, the arrays with an ``init`` otherwise.  Nothing is
+        cached, so callers own (and may mutate) what they get."""
+        if self.recipe is not None:
+            made = self.recipe()
+            return {name: made[name] for name in self.arrays}
+        return {
+            name: np.array(decl.init, copy=True)
+            for name, decl in self.arrays.items()
+            if decl.init is not None
+        }
+
     @property
     def total_bytes(self) -> int:
         """UM footprint of the graph (the Table-I quantity)."""
@@ -188,6 +212,8 @@ class TaskGraph:
         """Host input data staged in before the first launch — the
         bytes a cross-node placement must move over the cluster
         network before the graph can start."""
+        if self.recipe is not None:
+            return self.total_bytes
         return sum(
             a.nbytes for a in self.arrays.values() if a.init is not None
         )
@@ -339,9 +365,8 @@ def execute_serial(
         k.name: rt.build_kernel(k.fn, k.name, k.signature, cost_model=k.cost)
         for k in graph.kernels
     }
-    for name, decl in graph.arrays.items():
-        if decl.init is not None:
-            arrays[name].copy_from_host(decl.init)
+    for name, data in graph.host_inputs().items():
+        arrays[name].copy_from_host(data)
     for launch in graph.launches:
         args = tuple(
             arrays[a] if isinstance(a, str) else a for a in launch.args

@@ -11,6 +11,8 @@ and inputs the figure experiments use.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.memory.array import DeviceArray
@@ -19,33 +21,56 @@ from repro.workloads.base import Benchmark
 from repro.workloads.suite import create_benchmark
 
 
+@dataclass(frozen=True)
+class BenchmarkInputs:
+    """Input recipe of a benchmark graph: rebuilds one iteration's host
+    inputs exactly as the benchmark's ``refresh`` writes them.
+
+    Holds the benchmark class (pickled by reference), not an instance:
+    an instance keeps a second copy of every input it generated.
+    """
+
+    benchmark: type[Benchmark]
+    scale: int
+    seed: int
+    iteration: int
+
+    def __call__(self) -> dict[str, np.ndarray]:
+        bench = self.benchmark(self.scale, seed=self.seed, iterations=1)
+        # Detached arrays: refresh() writes the inputs into them with no
+        # runtime attached, which costs nothing; their buffers are
+        # handed out as they are.
+        staging = {
+            name: DeviceArray(spec.shape, dtype=spec.dtype, name=name)
+            for name, spec in bench.array_specs().items()
+        }
+        bench.refresh(staging, self.iteration)
+        return {name: arr.kernel_view for name, arr in staging.items()}
+
+
 def graph_from_benchmark(
     bench: Benchmark, iteration: int = 0
 ) -> TaskGraph:
     """One iteration of ``bench`` as a self-contained task graph.
 
-    Host inputs are generated exactly as the benchmark's ``refresh``
-    would (same per-iteration RNG), captured into the graph's array
-    declarations; launches are the benchmark's invocations verbatim.
+    The graph carries a :class:`BenchmarkInputs` recipe instead of the
+    input data: every dispatch regenerates the inputs with the same
+    per-iteration RNG.  Launches are the benchmark's invocations
+    verbatim.
     """
-    specs = bench.array_specs()
-    # Detached arrays: refresh() writes the iteration's host inputs into
-    # them with no runtime attached, which costs nothing and lets us
-    # snapshot the exact input data.
-    staging = {
-        name: DeviceArray(spec.shape, dtype=spec.dtype, name=name)
-        for name, spec in specs.items()
-    }
-    bench.refresh(staging, iteration)
+    if not bench.execute:
+        raise ValueError(
+            "graph_from_benchmark needs a benchmark with functional"
+            " execution on (execute=True)"
+        )
     arrays = {
         name: ArrayDecl(
             name=name,
             shape=spec.shape if isinstance(spec.shape, tuple)
             else (spec.shape,),
             dtype=spec.dtype,
-            init=np.array(staging[name].kernel_view, copy=True),
         )
-        for name, spec in specs.items()
+        for name, spec in bench.array_specs().items()
     }
     kernels = tuple(
         KernelDecl(
@@ -67,6 +92,9 @@ def graph_from_benchmark(
         arrays=arrays,
         kernels=kernels,
         launches=launches,
+        recipe=BenchmarkInputs(
+            type(bench), bench.scale, bench.seed, iteration
+        ),
     )
 
 
